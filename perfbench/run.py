@@ -6,6 +6,11 @@ Run from the repository root.  The program under test is imported from
 ``src/`` beside this directory; the benchmark generates every input from
 ``--seed`` and hands the program nothing else.
 
+The process pins itself to one CPU, and every gated time is reported
+at reference speed: scaled by a reference probe run beside it on the
+same CPU, so that the shared host's drifting speed cancels (see
+``benchlib/speed.py``; the raw wall-clock figures are printed too).
+
 With ``--trace 0`` the run measures the end-to-end metrics untraced.
 With ``--trace 1`` it alternates untraced and traced cycles, reports the
 per-layer metrics of the traced cycles and ``trace.overhead`` (traced ÷
@@ -55,26 +60,33 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
-def load_program():
-    """Import the program from ``src/`` and finish its lazy set-up."""
+def load_program(meter):
+    """Import the program from ``src/`` and finish its lazy set-up.
+
+    Returns the environment and the start-up time, from process start,
+    as (wall clock, reference speed) seconds, scaled like a set-up.
+    """
     if not (SRC / "repro" / "__init__.py").is_file():
         raise SystemExit(f"perfbench: no program sources at {SRC}")
     sys.path.insert(0, str(SRC))
-    sys.path.insert(0, str(HERE))
-    import numpy
+    with meter.sampling():
+        import numpy
 
-    import repro.analysis.report  # noqa: F401
-    import repro.serve  # noqa: F401
-    from repro.engine.kernels import active_backend
+        import repro.analysis.report  # noqa: F401
+        import repro.serve  # noqa: F401
+        from repro.engine.kernels import active_backend
 
-    # The compiled Tarjan kernel builds (or loads) on first use.
-    backend = {"compiled": "c", "fallback": "python"}[active_backend()]
-    return {
+        # The compiled Tarjan kernel builds (or loads) on first use.
+        backend = {"compiled": "c", "fallback": "python"}[active_backend()]
+        ended = time.perf_counter()
+    start_up_s = ended - _STARTED - meter.busy_s
+    env = {
         "backend": backend,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "nproc": os.cpu_count(),
     }
+    return env, (start_up_s, start_up_s * meter.factor(_STARTED, ended))
 
 
 def peak_rss_mb() -> float:
@@ -87,7 +99,7 @@ def world_seed(seed: int, cycle: int) -> int:
     return seed * 10 + cycle
 
 
-def run_cycle(workload, seed, budget_s, final, tracer=None):
+def run_cycle(workload, seed, budget_s, final, meter, tracer=None):
     """Set up, measure and check one cycle; returns its record.
 
     Set-up and the timed region run with the tracer's wrappers installed
@@ -100,14 +112,19 @@ def run_cycle(workload, seed, budget_s, final, tracer=None):
 
         layers.install(tracer)
     try:
-        started = time.perf_counter()
-        state = workload.setup(seed)
-        setup_s = time.perf_counter() - started
+        meter.reset()
+        with meter.sampling():
+            started = time.perf_counter()
+            state = workload.setup(seed)
+            ended = time.perf_counter()
+            setup_s = ended - started - meter.busy_s
+        setup_factor = meter.factor(started, ended)
         try:
             gc.collect()
             if tracer is not None:
                 tracer.phase = "measure"
-            measurement = workload.measure(state, budget_s, traced=tracer is not None)
+            meter.reset()
+            measurement = workload.measure(state, budget_s, tracer is not None, meter)
             rss = peak_rss_mb()
             if tracer is not None:
                 tracer.phase = "check"
@@ -117,7 +134,8 @@ def run_cycle(workload, seed, budget_s, final, tracer=None):
     finally:
         if tracer is not None:
             tracer.uninstall()
-    return {"setup_s": setup_s, "m": measurement, "rss": rss, "checks": results}
+    return {"setup_s": setup_s, "setup_factor": setup_factor, "m": measurement,
+            "rss": rss, "checks": results}
 
 
 def outcome(records):
@@ -129,46 +147,69 @@ def outcome(records):
     return attempted, failed, problems
 
 
-def end_to_end(workload, records, setup_once_s):
+def end_to_end(workload, records, start_up):
     """The gated end-to-end metrics and the workload's named report lines."""
-    from benchlib.stats import highest_supported_percentile, tail_summary
+    from benchlib.stats import highest_supported_percentile, percentile, tail_summary
 
-    op = tail_summary([x for r in records for x in r["m"].op_ms], workload.tail_pct)
+    op = tail_summary([x for r in records for x in r["m"].op_ref_ms], workload.tail_pct)
+    raw = tail_summary([x for r in records for x in r["m"].op_ms], workload.tail_pct)
+    work = sum(r["m"].work for r in records)
+    start_up_s, start_up_ref_s = start_up
     metrics = {
-        "setup_s": setup_once_s + statistics.median(r["setup_s"] for r in records),
+        "setup_s": start_up_ref_s + statistics.median(
+            r["setup_s"] * r["setup_factor"] for r in records
+        ),
         # Later cycles' high-water marks carry earlier cycles' heap
         # fragmentation, so the first cycle's is the workload's own.
         "peak_rss_mb": records[0]["rss"],
-        "ops_per_s": sum(r["m"].work for r in records) / sum(r["m"].wall_s for r in records),
+        "ops_per_s": work / sum(r["m"].ref_s for r in records),
         "op_p50_ms": op["p50"],
         "op_tail_ms": op["tail"],
     }
+    raw_setup_s = start_up_s + statistics.median(r["setup_s"] for r in records)
     attempted, failed, _ = outcome(records)
     n, tail = op["samples"], f"p{op['tail_pct']:g}"
+    highest = highest_supported_percentile(n)
+    highest_ms = percentile([x for r in records for x in r["m"].op_ref_ms], highest or 50.0)
     lines = [
         f"op latency: n={n} tail={tail} beyond={op['beyond']} rule_ok={op['rule_ok']} "
-        f"(highest supported: p{highest_supported_percentile(n) or 0:g})",
-        f"setup_s {metrics['setup_s']:.6g} s  (imports {setup_once_s:.3g} s + median of {len(records)} set-ups)",
+        f"(highest supported: p{highest or 0:g} = {highest_ms:.6g} ms)",
+        f"setup_s {metrics['setup_s']:.6g} s  (start-up {start_up_ref_s:.3g} s + median of "
+        f"{len(records)} set-ups; wall clock {raw_setup_s:.6g} s)",
         f"peak_rss_mb {metrics['peak_rss_mb']:.6g} MB",
         f"failed_share {failed / attempted:.6g} failed/attempted  ({failed}/{attempted})",
     ]
     names = workload.metric_names
+    raw_rate = work / sum(r["m"].wall_s for r in records)
     lines += [
-        f"{names['ops_per_s']} {metrics['ops_per_s']:.6g} {workload.work_unit}/s  (= ops_per_s)",
-        f"{names['op_p50_ms']} {metrics['op_p50_ms']:.6g} ms  (n={n}; = op_p50_ms)",
-        f"{names['op_tail_ms']} {metrics['op_tail_ms']:.6g} ms  ({tail}; = op_tail_ms)",
+        f"{names['ops_per_s']} {metrics['ops_per_s']:.6g} {workload.work_unit}/s  "
+        f"(= ops_per_s; wall clock {raw_rate:.6g})",
+        f"{names['op_p50_ms']} {metrics['op_p50_ms']:.6g} ms  "
+        f"(n={n}; = op_p50_ms; wall clock {raw['p50']:.6g})",
+        f"{names['op_tail_ms']} {metrics['op_tail_ms']:.6g} ms  "
+        f"({tail}; = op_tail_ms; wall clock {raw['tail']:.6g})",
     ]
+    lines.append("reference-speed factors (set-up, measure) by cycle: " + "; ".join(
+        f"{r['setup_factor']:.4g}, {r['m'].speed:.4g}" for r in records
+    ))
     for name, pct in workload.extra_latencies:
         extra = tail_summary([x for r in records for x in r["m"].samples[name]], pct)
         stem = name[: -len("_ms")]
-        lines.append(f"{stem}_p50_ms {extra['p50']:.6g} ms  (n={extra['samples']})")
-        lines.append(f"{stem}_p{pct:g}_ms {extra['tail']:.6g} ms  (beyond={extra['beyond']})")
+        lines.append(f"{stem}_p50_ms {extra['p50']:.6g} ms  (n={extra['samples']}; wall clock)")
+        lines.append(f"{stem}_p{pct:g}_ms {extra['tail']:.6g} ms  "
+                     f"(beyond={extra['beyond']}; wall clock)")
     return metrics, lines
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    env = load_program()
+    sys.path.insert(0, str(HERE))
+    from benchlib.speed import SpeedMeter, pin_one_cpu
+
+    # Before any import can start a thread: later threads inherit the CPU.
+    cpu = pin_one_cpu()
+    meter = SpeedMeter()
+    env, start_up = load_program(meter)
     from benchlib.workloads import WORKLOADS
 
     if args.workload not in WORKLOADS:
@@ -176,11 +217,13 @@ def main(argv=None) -> int:
               f"expected one of {sorted(WORKLOADS)}", file=sys.stderr)
         return 2
     workload = WORKLOADS[args.workload]
-    setup_once_s = time.perf_counter() - _STARTED
     print(f"perfbench workload={workload.name} seed={args.seed} trace={args.trace} "
           f"backend={env['backend']} python={env['python']} numpy={env['numpy']} "
-          f"nproc={env['nproc']}")
+          f"nproc={env['nproc']} cpu={cpu}")
+    return measure_and_report(args, workload, start_up, meter)
 
+
+def measure_and_report(args, workload, start_up, meter) -> int:
     if args.trace:
         from benchlib.layers import PER_LAYER, layer_metrics
         from benchlib.tracer import Tracer
@@ -190,9 +233,9 @@ def main(argv=None) -> int:
         plain, traced, layer_runs = [], [], []
         for pair in range(TRACE_PAIRS):
             seed, final = world_seed(args.seed, pair), pair == TRACE_PAIRS - 1
-            plain.append(run_cycle(workload, seed, budget, final))
+            plain.append(run_cycle(workload, seed, budget, final, meter))
             tracer = Tracer()
-            traced.append(run_cycle(workload, seed, budget, final, tracer))
+            traced.append(run_cycle(workload, seed, budget, final, meter, tracer))
             layer_runs.append(layer_metrics(tracer, traced[-1]["m"].observed))
         records = plain + traced
         metrics = {
@@ -208,10 +251,10 @@ def main(argv=None) -> int:
         cycles = workload.cycles
         records = [
             run_cycle(workload, world_seed(args.seed, cycle), args.seconds / cycles,
-                      cycle == cycles - 1)
+                      cycle == cycles - 1, meter)
             for cycle in range(cycles)
         ]
-        metrics, lines = end_to_end(workload, records, setup_once_s)
+        metrics, lines = end_to_end(workload, records, start_up)
         units = {name: unit for name, unit, _ in END_TO_END}
 
     attempted, failed, problems = outcome(records)

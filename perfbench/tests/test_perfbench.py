@@ -18,7 +18,7 @@ for path in (str(ROOT / "src"), str(BENCH)):
     if path not in sys.path:
         sys.path.insert(0, path)
 
-from benchlib import checks, stats  # noqa: E402
+from benchlib import checks, speed, stats  # noqa: E402
 from benchlib.layers import PER_LAYER  # noqa: E402
 from benchlib.tracer import Span, Tracer  # noqa: E402
 from benchlib.workloads import WORKLOADS, build_world, scaled_config  # noqa: E402
@@ -126,6 +126,52 @@ def test_counted_wrapper_counts_outermost_measured_calls():
     counted(0)
     assert tracer.counts["flows"] == 2
     assert len(calls) == 7
+
+
+# -- reference-speed scaling -------------------------------------------------------------
+
+
+def _meter(samples):
+    meter = speed.SpeedMeter()
+    for start, duration_ms in samples:
+        meter.starts.append(start)
+        meter.durations.append(duration_ms / 1e3)
+    return meter
+
+
+def test_an_operation_is_scaled_by_the_probes_taken_during_it():
+    inside = [(float(t), 2 * speed.REFERENCE_MS) for t in range(10, 20)]
+    meter = _meter([(0.0, speed.REFERENCE_MS)] + inside + [(30.0, speed.REFERENCE_MS)])
+    # The host ran the probe at half the reference speed during [9, 21].
+    assert meter.factor(9.0, 21.0) == pytest.approx(0.5)
+    assert meter.scale(9.0, 12.0) == pytest.approx(6.0)
+
+
+def test_a_short_operation_widens_to_the_nearest_probes():
+    slow = [(float(t), 4 * speed.REFERENCE_MS) for t in range(speed.NEAREST)]
+    fast = [(100.0 + t, speed.REFERENCE_MS) for t in range(speed.NEAREST)]
+    meter = _meter(slow + fast)
+    assert meter.factor(4.2, 4.3) == pytest.approx(0.25)
+    assert meter.factor(104.2, 104.3) == pytest.approx(1.0)
+    # With fewer probes than NEAREST, all of them count.
+    assert _meter([(0.0, speed.REFERENCE_MS)]).factor(5.0, 6.0) == pytest.approx(1.0)
+    with pytest.raises(RuntimeError):
+        speed.SpeedMeter().factor(0.0, 1.0)
+
+
+def test_background_sampling_records_probes_and_stops_its_thread():
+    import threading
+    import time
+
+    meter = speed.SpeedMeter()
+    with meter.sampling(period_s=0.005):
+        time.sleep(0.1)
+    assert len(meter.durations) >= 3
+    assert meter.starts == sorted(meter.starts)
+    assert 0.0 < meter.busy_s < 0.1
+    assert not any(t.name == "speed-sampler" for t in threading.enumerate())
+    meter.reset()
+    assert meter.durations == [] and meter.busy_s == 0.0
 
 
 # -- generated inputs ----------------------------------------------------------------
