@@ -11,7 +11,7 @@ Three acceptance checks for the serving layer (:mod:`repro.serve`):
 * ``test_served_answers_match_batch_at_every_version`` replays a chain
   with periodic adversarial reorgs and, at *every* published version,
   checks the full query surface against a fresh batch
-  ``WashTradingPipeline(engine="columnar")`` build over that canonical
+  ``WashTradingPipeline`` engine build over that canonical
   chain prefix (causally clamped, like the stream parity tests).
 * ``test_concurrent_load_sustains_queries`` runs a :class:`LoadGenerator`
   fleet on reader threads while the main thread advances the chain
@@ -95,7 +95,7 @@ def batch_at(world, block):
         to_block=block,
     )
     return WashTradingPipeline(
-        labels=world.labels, is_contract=world.is_contract, engine="columnar"
+        labels=world.labels, is_contract=world.is_contract
     ).run(dataset)
 
 
@@ -472,7 +472,7 @@ def test_concurrent_load_sustains_queries(serve_profile):
 
     # And the settled state equals a fresh batch build.
     batch = WashTradingPipeline(
-        labels=world.labels, is_contract=world.is_contract, engine="columnar"
+        labels=world.labels, is_contract=world.is_contract
     ).run(build_dataset(world.node, world.marketplace_addresses))
     assert serving_parity_mismatches(service.query, batch, version=final) == []
 

@@ -65,7 +65,7 @@ def drive_monitor(world, boundaries):
 def drive_prefix_replay(world, boundaries):
     """Rebuild the dataset and re-run the pipeline at every boundary."""
     pipeline = WashTradingPipeline(
-        labels=world.labels, is_contract=world.is_contract, engine="columnar"
+        labels=world.labels, is_contract=world.is_contract
     )
     latencies = []
     result = None
@@ -130,7 +130,7 @@ def test_reorg_rollback_beats_full_rebuild(reorg_profile):
     monitor = StreamingMonitor.for_world(world, max_reorg_depth=64)
     monitor.run(step_blocks=25)
     pipeline = WashTradingPipeline(
-        labels=world.labels, is_contract=world.is_contract, engine="columnar"
+        labels=world.labels, is_contract=world.is_contract
     )
     rng = random.Random(20230227)
 

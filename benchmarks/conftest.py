@@ -15,31 +15,25 @@ from repro.simulation.builder import build_default_world
 from repro.simulation.config import SimulationConfig
 
 #: Detection backends the backend-parametrized benchmarks can compare.
-#: "legacy" is the networkx reference path, "engine" the serial columnar
-#: engine, "engine-mp" the columnar engine on a 4-worker process pool,
-#: "kernel" the numpy/CSR tier (compiled Tarjan when available).
-ALL_BACKENDS = ("legacy", "engine", "engine-mp", "kernel")
+#: "legacy" is the networkx reference path, "engine" the serial
+#: columnar engine (CSR refinement, compiled Tarjan when available),
+#: "engine-mp" the same engine on a 4-worker process pool.
+ALL_BACKENDS = ("legacy", "engine", "engine-mp")
 
 BACKEND_PIPELINE_KWARGS = {
     "legacy": {"engine": "legacy"},
     "engine": {"engine": "columnar"},
     "engine-mp": {"engine": "columnar", "workers": 4},
-    "kernel": {"engine": "kernel"},
 }
 
 
 def kernel_status() -> str:
-    """One line describing the kernel tier this process will run with."""
-    try:
-        import numpy
-    except ImportError:
-        return "kernel tier: unavailable (no numpy)"
+    """One line describing the kernels this process will run with."""
+    import numpy
+
     from repro.engine.kernels import active_backend
 
-    return (
-        f"kernel tier: numpy {numpy.__version__}, "
-        f"tarjan backend: {active_backend()}"
-    )
+    return f"numpy {numpy.__version__}, tarjan backend: {active_backend()}"
 
 
 def pytest_report_header(config):

@@ -206,17 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--engine",
-        choices=sorted(WashTradingPipeline.ENGINES),
-        default="legacy",
-        help=(
-            "detection backend: 'legacy' runs the networkx reference "
-            "implementation, 'columnar' the sharded mask-based engine, "
-            "'kernel' the numpy/CSR tier with the optional compiled "
-            "Tarjan (default: legacy)"
-        ),
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=0,
@@ -889,7 +878,6 @@ def run_batch(argv: Sequence[str]) -> int:
     world = build_default_world(config)
     report = PaperReport(
         world,
-        engine=args.engine,
         workers=args.workers,
         enabled_methods=_enabled_methods(args),
     )
@@ -909,7 +897,7 @@ def run_batch(argv: Sequence[str]) -> int:
     result = report.result
     score = world.ground_truth.match_against(result.washed_nfts())
     print(
-        f"\n[{args.preset}/{args.engine}] {world.chain.transaction_count()} transactions, "
+        f"\n[{args.preset}] {world.chain.transaction_count()} transactions, "
         f"{result.activity_count} confirmed wash trading activities, "
         f"recall {score.recall:.1%} on planted ground truth, {elapsed:.1f}s"
     )
@@ -1138,7 +1126,6 @@ def run_serve(argv: Sequence[str]) -> int:
             batch = WashTradingPipeline(
                 labels=world.labels,
                 is_contract=world.is_contract,
-                engine="columnar",
                 enabled_methods=_enabled_methods(args),
             ).run(build_dataset(world.node, world.marketplace_addresses))
             mismatches = serving_parity_mismatches(query, batch)

@@ -50,8 +50,9 @@ class PaperReport:
 
     world: World
     detection_config: Optional[DetectionConfig] = None
-    #: Detection backend: "legacy" (networkx reference) or "columnar".
-    engine: str = "legacy"
+    #: Detection backend: the columnar engine by default; "legacy" runs
+    #: the networkx reference the parity tests compare against.
+    engine: str = "columnar"
     #: Worker processes for the columnar engine (0/1 = in-process serial).
     workers: int = 0
     #: Detection methods to run; None keeps the pipeline's paper set.

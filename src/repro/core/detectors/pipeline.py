@@ -10,7 +10,7 @@ list the characterization and profitability stages consume.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.activity import (
@@ -152,18 +152,51 @@ def build_detectors(enabled_methods: Iterable[DetectionMethod]) -> List[Detector
     return detectors
 
 
+def collect_evidence(
+    component: CandidateComponent,
+    detectors: Sequence[Detector],
+    context: DetectionContext,
+) -> List[DetectionEvidence]:
+    """Every detector's evidence for one component, in detector order;
+    an empty list leaves the component base-unconfirmed."""
+    evidence: List[DetectionEvidence] = []
+    for detector in detectors:
+        found = detector.detect(component, context)
+        if found is not None:
+            evidence.append(found)
+    return evidence
+
+
+def confirm_candidates(
+    candidates: Iterable[CandidateComponent],
+    detectors: Sequence[Detector],
+    context: DetectionContext,
+) -> Tuple[List[WashTradingActivity], List[CandidateComponent]]:
+    """Split candidates into base-confirmed activities and the rest,
+    both in candidate order (the repeated-SCC rule runs afterwards)."""
+    activities: List[WashTradingActivity] = []
+    unconfirmed: List[CandidateComponent] = []
+    for component in candidates:
+        evidence = collect_evidence(component, detectors, context)
+        if evidence:
+            activities.append(WashTradingActivity(component=component, evidence=evidence))
+        else:
+            unconfirmed.append(component)
+    return activities, unconfirmed
+
+
 class WashTradingPipeline:
     """End-to-end wash trading detection over an :class:`NFTDataset`.
 
-    ``engine`` selects the execution backend: ``"legacy"`` (the default)
-    runs the original networkx reference implementation; ``"columnar"``
-    runs the mask-based engine in :mod:`repro.engine`, optionally
-    sharded across ``workers`` processes; ``"kernel"`` is the columnar
-    engine with the numpy/CSR refinement and (when a C compiler is
-    around) compiled Tarjan kernels of :mod:`repro.engine.kernels`.
-    All backends produce the same :class:`PipelineResult` (see
-    ``tests/engine/test_parity.py`` and
-    ``tests/engine/test_kernel_parity.py``).
+    ``engine`` selects the execution backend.  ``"columnar"`` (the
+    default; ``"kernel"`` names the same engine) runs
+    :mod:`repro.engine`: batched CSR refinement with the compiled Tarjan
+    when a C compiler is around, memoised detector money flows, and
+    token shards optionally spread across ``workers`` processes.
+    ``"legacy"`` runs the paper's networkx implementation, kept as the
+    reference the parity tests (``tests/engine/test_parity.py``,
+    ``tests/engine/test_kernel_parity.py``) pin the engine against.
+    Both produce the same :class:`PipelineResult`.
     """
 
     ENGINES = ("legacy", "columnar", "kernel")
@@ -175,7 +208,7 @@ class WashTradingPipeline:
         config: Optional[DetectionConfig] = None,
         enabled_methods: Optional[Iterable[DetectionMethod]] = None,
         funnel: Optional[RefinementFunnel] = None,
-        engine: str = "legacy",
+        engine: str = "columnar",
         workers: int = 0,
         shards: Optional[int] = None,
     ) -> None:
@@ -183,19 +216,6 @@ class WashTradingPipeline:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {self.ENGINES}"
             )
-        if engine == "kernel":
-            try:
-                import repro.engine.kernels  # noqa: F401
-            except ImportError:
-                import warnings
-
-                warnings.warn(
-                    "numpy is unavailable; engine='kernel' degrades to the "
-                    "columnar engine",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                engine = "columnar"
         self.labels = labels
         self.is_contract = is_contract
         self.config = config or DetectionConfig()
@@ -208,9 +228,6 @@ class WashTradingPipeline:
         self.engine = engine
         self.workers = workers
         self.shards = shards
-
-    def _detectors(self) -> List[Detector]:
-        return build_detectors(self.enabled_methods)
 
     def _run_engine(self, dataset: NFTDataset) -> PipelineResult:
         """The columnar engine branch; lazy import avoids a module cycle."""
@@ -227,7 +244,6 @@ class WashTradingPipeline:
             skip_service_removal=self.funnel.skip_service_removal,
             skip_contract_removal=self.funnel.skip_contract_removal,
             skip_zero_volume_removal=self.funnel.skip_zero_volume_removal,
-            use_kernels=(self.engine == "kernel"),
         )
         return PipelineResult(
             refinement=refinement, activities=activities, unconfirmed=unconfirmed
@@ -235,7 +251,7 @@ class WashTradingPipeline:
 
     def run(self, dataset: NFTDataset) -> PipelineResult:
         """Run refinement and every enabled confirmation technique."""
-        if self.engine in ("columnar", "kernel"):
+        if self.engine != "legacy":
             return self._run_engine(dataset)
         refinement = self.funnel.run(dataset)
         context = DetectionContext(
@@ -244,22 +260,9 @@ class WashTradingPipeline:
             is_contract=self.is_contract,
             config=self.config,
         )
-        detectors = self._detectors()
-
-        activities: List[WashTradingActivity] = []
-        unconfirmed: List[CandidateComponent] = []
-        for component in refinement.candidates:
-            evidence: List[DetectionEvidence] = []
-            for detector in detectors:
-                found = detector.detect(component, context)
-                if found is not None:
-                    evidence.append(found)
-            if evidence:
-                activities.append(
-                    WashTradingActivity(component=component, evidence=evidence)
-                )
-            else:
-                unconfirmed.append(component)
+        activities, unconfirmed = confirm_candidates(
+            refinement.candidates, build_detectors(self.enabled_methods), context
+        )
 
         if DetectionMethod.REPEATED_SCC in self.enabled_methods:
             repeated, unconfirmed = confirm_repeated_components(unconfirmed, activities)

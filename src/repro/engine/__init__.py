@@ -1,20 +1,24 @@
 """The columnar detection engine.
 
-A production-oriented execution path for the Sec. IV detection stack,
-layered as:
+The production execution path for the Sec. IV detection stack and the
+default of ``WashTradingPipeline``, layered as:
 
 * :mod:`repro.engine.store` -- :class:`ColumnarTransferStore`, interned
   accounts and flat per-NFT transfer columns built once per dataset.
-* :mod:`repro.engine.refine` -- mask-based candidate search and
-  refinement; exclusion stages are integer-set masks over the columns
-  instead of graph rebuilds.
+* :mod:`repro.engine.kernels` -- the funnel stages over batched CSR
+  arrays with a compiled Tarjan (pure-Python fallback without a C
+  compiler or under ``REPRO_NO_CKERNEL=1``), and the memoised
+  :class:`~repro.engine.kernels.CachingDetectionContext` the detectors
+  read.
 * :mod:`repro.engine.executor` -- contiguous token shards executed
   serially or on a process pool, merged deterministically.
 
-The legacy networkx implementation in :mod:`repro.core` remains the
-reference; ``WashTradingPipeline(engine="columnar")`` selects this one,
-and the parity tests in ``tests/engine`` pin the two to identical
-output.
+:mod:`repro.engine.refine` keeps the per-token mask refinement
+(:func:`refine_tokens`) as the reference the kernel tests compare the
+CSR path against.  The networkx implementation in :mod:`repro.core`
+(``WashTradingPipeline(engine="legacy")``) remains the paper-faithful
+reference; the parity tests in ``tests/engine`` pin the two to
+identical output.
 """
 
 from repro.engine.executor import (

@@ -1,14 +1,15 @@
 """Sharded execution of the columnar detection engine.
 
 The executor partitions the store's tokens into contiguous shards and
-runs refinement plus the four per-component confirmation techniques
-independently per shard, either serially (the deterministic fallback and
-the default) or on a ``ProcessPoolExecutor``.  Shard results are merged
-in shard order, so the final candidate and activity lists line up with a
-serial run regardless of worker count; the repeated-SCC rule needs the
-global pool of confirmed account sets and therefore always runs once in
-the parent, after the merge -- exactly where the legacy pipeline applies
-it.
+runs the batched CSR refinement of :mod:`repro.engine.kernels` plus the
+per-component confirmation techniques (over a memoised
+:class:`CachingDetectionContext`) independently per shard, either
+serially (the deterministic fallback and the default) or on a
+``ProcessPoolExecutor``.  Shard results are merged in shard order, so
+the final candidate and activity lists line up with a serial run
+regardless of worker count; the repeated-SCC rule needs the global pool
+of confirmed account sets and therefore always runs once in the parent,
+after the merge -- exactly where the legacy pipeline applies it.
 
 Everything a worker needs travels in a :class:`SharedPayload` handed to
 the pool initializer: the interned account table, the exclusion masks,
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.chain.types import NFTKey
@@ -33,9 +34,19 @@ from repro.core.activity import (
     WashTradingActivity,
 )
 from repro.core.detectors.base import DetectionConfig, DetectionContext
+from repro.core.detectors.pipeline import (
+    build_detectors,
+    collect_evidence,
+    confirm_candidates,
+)
 from repro.core.detectors.repeated_scc import confirm_repeated_components
 from repro.core.refine import RefinementResult
-from repro.engine.refine import STAGE_NAMES, StageAccumulator, refine_tokens
+from repro.engine.kernels import (
+    CachingDetectionContext,
+    refine_token_states,
+    refine_tokens_kernel,
+)
+from repro.engine.refine import STAGE_NAMES, StageAccumulator
 from repro.engine.store import ColumnarTransferStore, TokenColumns
 
 
@@ -86,10 +97,27 @@ class SharedPayload:
     skip_service_removal: bool = False
     skip_contract_removal: bool = False
     skip_zero_volume_removal: bool = False
-    #: Route refinement through the numpy/CSR kernels of
-    #: :mod:`repro.engine.kernels` and cache detector money flows
-    #: (the ``engine="kernel"`` tier).
-    use_kernels: bool = False
+
+    def mask_options(self) -> Dict[str, object]:
+        """The exclusion-mask keyword arguments of the refine kernels."""
+        return dict(
+            service_ids=self.service_ids,
+            contract_ids=self.contract_ids,
+            skip_service_removal=self.skip_service_removal,
+            skip_contract_removal=self.skip_contract_removal,
+            skip_zero_volume_removal=self.skip_zero_volume_removal,
+        )
+
+    def detection_context(self) -> CachingDetectionContext:
+        """A fresh memoised detector context over the shipped state."""
+        return CachingDetectionContext(
+            DetectionContext(
+                dataset=TransactionView(self.account_transactions),
+                labels=self.labels,
+                is_contract=AccountSetPredicate(self.contract_addresses),
+                config=self.config,
+            )
+        )
 
 
 @dataclass
@@ -124,48 +152,12 @@ def partition_tokens(nfts: Sequence[NFTKey], shard_count: int) -> List[List[NFTK
 
 def _run_shard(tokens: Sequence[TokenColumns], payload: SharedPayload) -> ShardResult:
     """Refine one shard's tokens and run the per-component detectors."""
-    if payload.use_kernels:
-        from repro.engine.kernels import refine_tokens_kernel
-
-        refine = refine_tokens_kernel
-    else:
-        refine = refine_tokens
-    refinement = refine(
-        payload.accounts,
-        tokens,
-        service_ids=payload.service_ids,
-        contract_ids=payload.contract_ids,
-        skip_service_removal=payload.skip_service_removal,
-        skip_contract_removal=payload.skip_contract_removal,
-        skip_zero_volume_removal=payload.skip_zero_volume_removal,
+    refinement = refine_tokens_kernel(payload.accounts, tokens, **payload.mask_options())
+    activities, unconfirmed = confirm_candidates(
+        refinement.candidates,
+        build_detectors(payload.enabled_methods),
+        payload.detection_context(),
     )
-    from repro.core.detectors.pipeline import build_detectors
-
-    detectors = build_detectors(payload.enabled_methods)
-    context = DetectionContext(
-        dataset=TransactionView(payload.account_transactions),
-        labels=payload.labels,
-        is_contract=AccountSetPredicate(payload.contract_addresses),
-        config=payload.config,
-    )
-    if payload.use_kernels:
-        from repro.engine.kernels.context import CachingDetectionContext
-
-        context = CachingDetectionContext(context)
-    activities: List[WashTradingActivity] = []
-    unconfirmed: List[CandidateComponent] = []
-    for component in refinement.candidates:
-        evidence: List[DetectionEvidence] = []
-        for detector in detectors:
-            found = detector.detect(component, context)
-            if found is not None:
-                evidence.append(found)
-        if evidence:
-            activities.append(
-                WashTradingActivity(component=component, evidence=evidence)
-            )
-        else:
-            unconfirmed.append(component)
     return ShardResult(
         candidates=refinement.candidates,
         activities=activities,
@@ -183,61 +175,26 @@ def run_token_state_shard(
     result), the streaming scheduler keeps per-token state, so element
     ``i`` is ``tokens[i]``'s ``(stages, candidates, evidence)`` triple --
     exactly what ``DirtyTokenScheduler._detect_state`` computes serially
-    for that token.  Batching is output-invariant in both refinement
-    tiers, so concatenating shard results in shard order is positionally
-    identical to a serial pass over the same tokens.
+    for that token.  Batching is output-invariant, so concatenating
+    shard results in shard order is positionally identical to a serial
+    pass over the same tokens.
     """
-    tokens = list(tokens)
-    if payload.use_kernels:
-        from repro.engine.kernels import refine_token_states
-
-        refinements = refine_token_states(
-            payload.accounts,
-            tokens,
-            service_ids=payload.service_ids,
-            contract_ids=payload.contract_ids,
-            skip_service_removal=payload.skip_service_removal,
-            skip_contract_removal=payload.skip_contract_removal,
-            skip_zero_volume_removal=payload.skip_zero_volume_removal,
-        )
-    else:
-        refinements = [
-            refine_tokens(
-                payload.accounts,
-                [columns],
-                service_ids=payload.service_ids,
-                contract_ids=payload.contract_ids,
-                skip_service_removal=payload.skip_service_removal,
-                skip_contract_removal=payload.skip_contract_removal,
-                skip_zero_volume_removal=payload.skip_zero_volume_removal,
-            )
-            for columns in tokens
-        ]
-    from repro.core.detectors.pipeline import build_detectors
-
-    detectors = build_detectors(payload.enabled_methods)
-    context = DetectionContext(
-        dataset=TransactionView(payload.account_transactions),
-        labels=payload.labels,
-        is_contract=AccountSetPredicate(payload.contract_addresses),
-        config=payload.config,
+    refinements = refine_token_states(
+        payload.accounts, list(tokens), **payload.mask_options()
     )
-    if payload.use_kernels:
-        from repro.engine.kernels.context import CachingDetectionContext
-
-        context = CachingDetectionContext(context)
-    results = []
-    for refinement in refinements:
-        evidence_lists: List[List[DetectionEvidence]] = []
-        for component in refinement.candidates:
-            evidence: List[DetectionEvidence] = []
-            for detector in detectors:
-                found = detector.detect(component, context)
-                if found is not None:
-                    evidence.append(found)
-            evidence_lists.append(evidence)
-        results.append((refinement.stages, refinement.candidates, evidence_lists))
-    return results
+    detectors = build_detectors(payload.enabled_methods)
+    context = payload.detection_context()
+    return [
+        (
+            refinement.stages,
+            refinement.candidates,
+            [
+                collect_evidence(component, detectors, context)
+                for component in refinement.candidates
+            ],
+        )
+        for refinement in refinements
+    ]
 
 
 def _run_token_states_in_worker(
@@ -324,7 +281,6 @@ def run_columnar_pipeline(
     skip_contract_removal: bool = False,
     skip_zero_volume_removal: bool = False,
     store: Optional[ColumnarTransferStore] = None,
-    use_kernels: bool = False,
 ) -> Tuple[RefinementResult, List[WashTradingActivity], List[CandidateComponent]]:
     """Run the full engine pipeline and return the merged pieces.
 
@@ -364,7 +320,6 @@ def run_columnar_pipeline(
         skip_service_removal=skip_service_removal,
         skip_contract_removal=skip_contract_removal,
         skip_zero_volume_removal=skip_zero_volume_removal,
-        use_kernels=use_kernels,
     )
 
     shard_count = shards if shards is not None else (workers * 4 if workers > 1 else 1)

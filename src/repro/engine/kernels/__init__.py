@@ -1,11 +1,11 @@
 """Detection kernels: numpy/CSR refinement and compiled Tarjan SCC.
 
 The hot loops of the detection path -- per-token SCC extraction and
-mask refinement -- batched over flat CSR arrays with an optional C
-kernel (see ``docs/architecture.md`` § Detection kernels).  Importing
-this package requires numpy; the compiled Tarjan backend is optional
-and degrades to a pure-Python walk (``REPRO_NO_CKERNEL=1`` forces the
-fallback, :func:`kernel_available` reports what loaded).
+mask refinement -- batched over flat CSR arrays with a C Tarjan kernel
+(see ``docs/architecture.md`` § Detection kernels).  The compiled
+backend degrades to a pure-Python walk on hosts without a C compiler
+(``REPRO_NO_CKERNEL=1`` forces the fallback, :func:`kernel_available`
+reports what loaded).
 """
 
 from repro.engine.kernels.context import CachingDetectionContext

@@ -1,12 +1,12 @@
-"""Money-flow caching for the kernel tier's detector pass.
+"""Money-flow caching for the engine's detector pass.
 
 The confirmation detectors re-derive the same per-account data for
 every component an account appears in: common-funder / common-exit
 re-walk the account's full transaction list to extract money flows
 (re-running the moves-an-NFT log scan each time), and zero-risk
 re-filters transaction lists per activity window.  Wash-trading
-accounts by construction appear in *many* components, so the kernel
-tier wraps the shard's :class:`DetectionContext` in a caching layer.
+accounts by construction appear in *many* components, so the engine
+wraps the shard's :class:`DetectionContext` in a caching layer.
 
 The caching is exactly output-preserving:
 

@@ -1,12 +1,13 @@
-"""Kernel-tier refinement: the four-stage funnel over batched CSR.
+"""The engine's refinement: the four-stage funnel over batched CSR.
 
-Drop-in counterparts of :func:`repro.engine.refine.refine_tokens` that
-route every SCC computation through
+Counterparts of the per-token reference
+:func:`repro.engine.refine.refine_tokens` that route every SCC
+computation through
 :func:`repro.engine.kernels.csr.batch_token_components`: one batched
 CSR + Tarjan pass per funnel stage for the whole token slice, instead
 of a Python graph walk per token per stage.  Stage semantics (the
 conditional per-token recompute rules, the zero-volume filter, the
-stage statistics) are byte-for-byte those of the interpreted path --
+stage statistics) are byte-for-byte those of the reference --
 ``tests/engine/test_kernel_parity.py`` pins the outputs equal.
 """
 
@@ -47,7 +48,7 @@ def _staged_components(
 
     ``None`` marks a token with no stage-1 component: removing nodes
     never creates a cycle, so such tokens leave the funnel entirely and
-    contribute to no stage -- the same early-out the interpreted path
+    contribute to no stage -- the same early-out the per-token reference
     takes.
     """
     stage1 = batch_token_components(tokens, _EMPTY_MASK, account_count)

@@ -11,7 +11,10 @@ can never create a new cycle, so they can never re-enter the funnel.
 
 The funnel produces exactly the same :class:`CandidateComponent` objects
 and per-stage statistics as the legacy path; ``tests/engine`` holds the
-parity proofs.
+parity proofs.  The engine runs these stages batched over CSR arrays
+(:mod:`repro.engine.kernels.refine`); :func:`refine_tokens` and
+:func:`token_components` are the per-token reference the kernel tests
+compare that path against.
 """
 
 from __future__ import annotations

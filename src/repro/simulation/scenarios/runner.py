@@ -468,7 +468,6 @@ def run_scenario(
             batch = WashTradingPipeline(
                 labels=world.labels,
                 is_contract=world.is_contract,
-                engine="columnar",
             ).run(dataset)
             report.parity.append(
                 ParityCheck(

@@ -35,14 +35,23 @@ from repro.core.activity import (
     WashTradingActivity,
 )
 from repro.core.detectors.base import DetectionConfig, DetectionContext
-from repro.core.detectors.pipeline import PipelineResult, build_detectors
+from repro.core.detectors.pipeline import (
+    PipelineResult,
+    build_detectors,
+    collect_evidence,
+)
 from repro.core.refine import RefinementResult
 from repro.engine.executor import (
     SchedulerPool,
     SharedPayload,
     partition_tokens,
 )
-from repro.engine.refine import STAGE_NAMES, StageAccumulator, refine_tokens
+from repro.engine.kernels import (
+    CachingDetectionContext,
+    active_backend,
+    refine_token_states,
+)
+from repro.engine.refine import STAGE_NAMES, StageAccumulator
 from repro.engine.store import ColumnarTransferStore
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
@@ -115,7 +124,6 @@ class DirtyTokenScheduler:
         skip_service_removal: bool = False,
         skip_contract_removal: bool = False,
         skip_zero_volume_removal: bool = False,
-        use_kernels: Optional[bool] = None,
         registry: Optional[MetricsRegistry] = None,
         workers: int = 0,
     ) -> None:
@@ -133,18 +141,6 @@ class DirtyTokenScheduler:
         self.skip_service_removal = skip_service_removal
         self.skip_contract_removal = skip_contract_removal
         self.skip_zero_volume_removal = skip_zero_volume_removal
-        # None = auto: batch each tick's dirty tokens through the
-        # numpy/CSR kernels when numpy is importable (kernel output is
-        # pinned identical to the interpreted path, so this is purely a
-        # speed decision).
-        if use_kernels is None:
-            try:
-                import repro.engine.kernels  # noqa: F401
-
-                use_kernels = True
-            except ImportError:
-                use_kernels = False
-        self.use_kernels = use_kernels
         self._repeat_enabled = DetectionMethod.REPEATED_SCC in self.methods
         #: ``workers > 1`` fans each tick's refine+detect out to the
         #: persistent scheduler process pool (:class:`SchedulerPool`);
@@ -205,12 +201,8 @@ class DirtyTokenScheduler:
     # -- queries -----------------------------------------------------------
     @property
     def backend_name(self) -> str:
-        """Which refinement tier ticks run on: ``kernel-compiled``,
-        ``kernel-fallback``, or ``interpreted``."""
-        if not self.use_kernels:
-            return "interpreted"
-        from repro.engine.kernels.tarjan import active_backend
-
+        """Which Tarjan backend ticks run on: ``kernel-compiled`` or
+        ``kernel-fallback``."""
         return f"kernel-{active_backend()}"
 
     @property
@@ -280,12 +272,9 @@ class DirtyTokenScheduler:
                 fanned_states = self._fan_out_states(live, context)
             if fanned_states is None:
                 refinements = self._refine_live(live) if live else []
-        if fanned_states is None and live and self.use_kernels:
-            # Fresh per-tick wrap: account transaction lists grow between
-            # ticks, so the cache must never outlive the tick.
-            from repro.engine.kernels import CachingDetectionContext
-
-            context = CachingDetectionContext(context)
+                # Fresh per-tick wrap: account transaction lists grow
+                # between ticks, so the cache must never outlive the tick.
+                context = CachingDetectionContext(context)
 
         flipped_sets: Set[FrozenSet[str]] = set()
         with self.registry.span("detect", tokens=len(live)):
@@ -409,37 +398,17 @@ class DirtyTokenScheduler:
         self._contract_mask = frozenset(self._contract_ids)
 
     def _refine_live(self, live: List[NFTKey]):
-        """Refine the tick's live dirty tokens, one result per token.
-
-        The kernel path batches every dirty token of the tick into a
-        single CSR pass; the interpreted path refines token by token.
-        Both return per-token results in ``live`` order with identical
-        content.
-        """
-        if self.use_kernels:
-            from repro.engine.kernels import refine_token_states
-
-            return refine_token_states(
-                self.store.accounts,
-                [self.store.tokens[nft] for nft in live],
-                service_ids=self._service_mask,
-                contract_ids=self._contract_mask,
-                skip_service_removal=self.skip_service_removal,
-                skip_contract_removal=self.skip_contract_removal,
-                skip_zero_volume_removal=self.skip_zero_volume_removal,
-            )
-        return [
-            refine_tokens(
-                self.store.accounts,
-                [self.store.tokens[nft]],
-                service_ids=self._service_mask,
-                contract_ids=self._contract_mask,
-                skip_service_removal=self.skip_service_removal,
-                skip_contract_removal=self.skip_contract_removal,
-                skip_zero_volume_removal=self.skip_zero_volume_removal,
-            )
-            for nft in live
-        ]
+        """Refine the tick's live dirty tokens in one batched CSR pass;
+        one result per token, in ``live`` order."""
+        return refine_token_states(
+            self.store.accounts,
+            [self.store.tokens[nft] for nft in live],
+            service_ids=self._service_mask,
+            contract_ids=self._contract_mask,
+            skip_service_removal=self.skip_service_removal,
+            skip_contract_removal=self.skip_contract_removal,
+            skip_zero_volume_removal=self.skip_zero_volume_removal,
+        )
 
     def _fan_out_states(
         self, live: List[NFTKey], context: DetectionContext
@@ -486,7 +455,6 @@ class DirtyTokenScheduler:
             skip_service_removal=self.skip_service_removal,
             skip_contract_removal=self.skip_contract_removal,
             skip_zero_volume_removal=self.skip_zero_volume_removal,
-            use_kernels=self.use_kernels,
         )
         rows = pool.map_shards(partition_tokens(columns, self.workers), payload)
         if rows is None:
@@ -507,18 +475,13 @@ class DirtyTokenScheduler:
 
     def _detect_state(self, refinement, context: DetectionContext) -> TokenState:
         """Run the per-component detectors over one token's refinement."""
-        evidence_lists: List[List[DetectionEvidence]] = []
-        for component in refinement.candidates:
-            evidence: List[DetectionEvidence] = []
-            for detector in self.detectors:
-                found = detector.detect(component, context)
-                if found is not None:
-                    evidence.append(found)
-            evidence_lists.append(evidence)
         return TokenState(
             stages=refinement.stages,
             candidates=refinement.candidates,
-            evidence=evidence_lists,
+            evidence=[
+                collect_evidence(component, self.detectors, context)
+                for component in refinement.candidates
+            ],
         )
 
     def _retire_state(

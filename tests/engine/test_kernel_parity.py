@@ -1,13 +1,14 @@
-"""Parity proofs: the kernel tier reproduces the interpreted engine.
+"""Parity proofs: the engine's CSR kernels reproduce the references.
 
-Mirrors ``tests/engine/test_parity.py`` one tier up: every output of the
-kernel-backed refinement (:func:`refine_tokens_kernel`,
-:func:`refine_token_states`) and of ``WashTradingPipeline(engine=
-"kernel")`` must be identical to the interpreted columnar path and the
-legacy networkx path -- compiled backend and pure-Python fallback, batch
-(serial and process-pool) and streaming, in-order and through a reorg
-storm.  The opt-in volume-match detector is pinned batch == stream here
-as well.
+Mirrors ``tests/engine/test_parity.py`` one layer down: every output of
+the CSR refinement (:func:`refine_tokens_kernel`,
+:func:`refine_token_states`) must be identical to the per-token
+reference :func:`refine_tokens`, and the engine ``WashTradingPipeline``
+runs by default must be identical to the legacy networkx path
+(``engine="legacy"``) -- compiled backend and pure-Python fallback,
+batch (serial and process-pool) and streaming, in-order and through a
+reorg storm.  The opt-in volume-match detector is pinned batch ==
+stream here as well.
 """
 
 from __future__ import annotations
@@ -63,10 +64,10 @@ def stages_of(refinement):
     return [stage.to_stage() for stage in refinement.stages]
 
 
-def assert_refinements_equal(kernel, interpreted):
-    assert stages_of(kernel) == stages_of(interpreted)
+def assert_refinements_equal(kernel, reference):
+    assert stages_of(kernel) == stages_of(reference)
     assert list(map(candidate_key, kernel.candidates)) == list(
-        map(candidate_key, interpreted.candidates)
+        map(candidate_key, reference.candidates)
     )
 
 
@@ -102,11 +103,11 @@ def test_kernel_refinement_matches_interpreted(
         skip_contract_removal=skip_contracts,
         skip_zero_volume_removal=skip_zero_volume,
     )
-    interpreted = refine_tokens(store.accounts, store, **kwargs)
+    reference = refine_tokens(store.accounts, store, **kwargs)
     for backend in BACKENDS:
         with backend_context(backend):
             kernel = refine_tokens_kernel(store.accounts, list(store), **kwargs)
-        assert_refinements_equal(kernel, interpreted)
+        assert_refinements_equal(kernel, reference)
 
 
 @settings(max_examples=30, deadline=None)
@@ -137,7 +138,7 @@ def tiny_dataset(tiny_world):
 
 @pytest.fixture(scope="module")
 def tiny_legacy(tiny_world, tiny_dataset):
-    return run_backend(tiny_world, tiny_dataset)
+    return run_backend(tiny_world, tiny_dataset, engine="legacy")
 
 
 class TestKernelPipelineParity:
@@ -152,29 +153,16 @@ class TestKernelPipelineParity:
             )
         assert_full_parity(kernel, tiny_legacy)
 
-    def test_kernel_engine_matches_columnar(self, tiny_world, tiny_dataset):
-        columnar = run_backend(tiny_world, tiny_dataset, engine="columnar")
-        kernel = run_backend(tiny_world, tiny_dataset, engine="kernel")
-        assert kernel.refinement.stages == columnar.refinement.stages
-        assert list(map(candidate_key, kernel.refinement.candidates)) == list(
-            map(candidate_key, columnar.refinement.candidates)
-        )
-        assert sorted(map(activity_key, kernel.activities)) == sorted(
-            map(activity_key, columnar.activities)
-        )
-
 
 # -- streaming parity ----------------------------------------------------------
 
 
-def replay_through_scheduler(histories, block_order, use_kernels):
+def replay_through_scheduler(histories, block_order):
     """Feed one transfer history to a scheduler, one block per tick."""
     labels = make_labels()
     is_contract = CONTRACT_SET.__contains__
     store = ColumnarTransferStore()
-    scheduler = DirtyTokenScheduler(
-        store, labels=labels, is_contract=is_contract, use_kernels=use_kernels
-    )
+    scheduler = DirtyTokenScheduler(store, labels=labels, is_contract=is_contract)
     context = DetectionContext(
         dataset=TransactionView({}), labels=labels, is_contract=is_contract
     )
@@ -190,32 +178,27 @@ def replay_through_scheduler(histories, block_order, use_kernels):
 
 @settings(max_examples=25, deadline=None)
 @given(random_histories(), st.randoms(use_true_random=False))
-def test_scheduler_kernel_path_matches_interpreted_and_batch(histories, rng):
-    """Kernel and interpreted scheduling converge to the batch result,
-    even with blocks arriving out of order (the reorg-shaped append
-    fallback path)."""
+def test_scheduler_kernel_path_matches_batch(histories, rng):
+    """Scheduling converges to the batch result, even with blocks
+    arriving out of order (the reorg-shaped append fallback path)."""
     blocks = sorted(
         {t.block_number for transfers in histories.values() for t in transfers}
     )
     shuffled = list(blocks)
     rng.shuffle(shuffled)
-    kernel = replay_through_scheduler(histories, shuffled, use_kernels=True)
-    interpreted = replay_through_scheduler(histories, shuffled, use_kernels=False)
+    streamed = replay_through_scheduler(histories, shuffled)
     labels = make_labels()
     batch = WashTradingPipeline(
-        labels=labels, is_contract=CONTRACT_SET.__contains__, engine="kernel"
+        labels=labels, is_contract=CONTRACT_SET.__contains__
     ).run(minimal_dataset(histories))
-    assert_results_match(kernel, batch)
-    assert_results_match(interpreted, batch)
+    assert_results_match(streamed, batch)
 
 
 def test_reorg_storm_with_kernels_matches_batch():
-    """A randomized advance/reorg/advance storm on the kernel scheduler
-    still equals a fresh kernel-engine batch build of the final chain."""
+    """A randomized advance/reorg/advance storm on the scheduler still
+    equals a fresh engine batch build of the final chain."""
     world = build_default_world(SimulationConfig.tiny())
-    monitor = StreamingMonitor.for_world(
-        world, max_reorg_depth=64, use_kernels=True
-    )
+    monitor = StreamingMonitor.for_world(world, max_reorg_depth=64)
     storm = ReorgStorm(
         world,
         random.Random(7),
@@ -230,7 +213,7 @@ def test_reorg_storm_with_kernels_matches_batch():
     assert summaries, "the storm must actually reorg"
     dataset = build_dataset(world.node, world.marketplace_addresses)
     batch = WashTradingPipeline(
-        labels=world.labels, is_contract=world.is_contract, engine="kernel"
+        labels=world.labels, is_contract=world.is_contract
     ).run(dataset)
     assert_results_match(monitor.result(), batch, ordered=True)
 
@@ -246,19 +229,17 @@ class TestVolumeMatchParity:
     def test_batch_engines_agree_with_volume_match(
         self, tiny_world, tiny_dataset
     ):
-        legacy = run_backend(tiny_world, tiny_dataset, enabled_methods=self.METHODS)
-        kernel = run_backend(
-            tiny_world, tiny_dataset, enabled_methods=self.METHODS, engine="kernel"
+        legacy = run_backend(
+            tiny_world, tiny_dataset, enabled_methods=self.METHODS, engine="legacy"
         )
+        kernel = run_backend(tiny_world, tiny_dataset, enabled_methods=self.METHODS)
         assert_full_parity(kernel, legacy)
         assert DetectionMethod.VOLUME_MATCH in kernel.count_by_method()
 
     def test_streaming_agrees_with_batch_with_volume_match(
         self, tiny_world, tiny_dataset
     ):
-        kernel = run_backend(
-            tiny_world, tiny_dataset, enabled_methods=self.METHODS, engine="kernel"
-        )
+        kernel = run_backend(tiny_world, tiny_dataset, enabled_methods=self.METHODS)
         monitor = StreamingMonitor.for_world(
             tiny_world, enabled_methods=self.METHODS
         )
@@ -267,5 +248,5 @@ class TestVolumeMatchParity:
 
     def test_default_method_set_stays_the_papers(self, tiny_world, tiny_dataset):
         """Headline numbers must not move unless volume-match is asked for."""
-        default = run_backend(tiny_world, tiny_dataset, engine="kernel")
+        default = run_backend(tiny_world, tiny_dataset)
         assert DetectionMethod.VOLUME_MATCH not in default.count_by_method()

@@ -7,7 +7,8 @@ Two layers of evidence:
   arbitrary transfer histories, and
 * full-pipeline runs over simulated worlds asserting identical confirmed
   activities (accounts, methods, transfers, evidence) across the legacy
-  path, the serial engine and the process-pool engine.
+  path, the serial engine and the process-pool engine, down to the
+  rendered paper report.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.report import PaperReport
 from repro.chain.types import NFTKey, NULL_ADDRESS
 from repro.core.detectors.pipeline import WashTradingPipeline
 from repro.core.refine import RefinementFunnel
@@ -191,7 +193,7 @@ def activity_key(activity):
 class TestFullPipelineParity:
     @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "process-pool"])
     def test_engine_matches_legacy_on_tiny_world(self, tiny_world, tiny_dataset, workers):
-        legacy = run_backend(tiny_world, tiny_dataset)
+        legacy = run_backend(tiny_world, tiny_dataset, engine="legacy")
         engine = run_backend(
             tiny_world, tiny_dataset, engine="columnar", workers=workers
         )
@@ -225,7 +227,9 @@ class TestFullPipelineParity:
         from repro.core.activity import DetectionMethod
 
         methods = {DetectionMethod.SELF_TRADE, DetectionMethod.ZERO_RISK}
-        legacy = run_backend(tiny_world, tiny_dataset, enabled_methods=methods)
+        legacy = run_backend(
+            tiny_world, tiny_dataset, enabled_methods=methods, engine="legacy"
+        )
         engine = run_backend(
             tiny_world, tiny_dataset, enabled_methods=methods, engine="columnar"
         )
@@ -241,3 +245,12 @@ class TestFullPipelineParity:
                 is_contract=tiny_world.is_contract,
                 engine="quantum",
             )
+
+
+def test_rendered_report_matches_legacy(tiny_world):
+    """The paper report a user gets by default is byte-identical to the
+    one the networkx reference renders."""
+    assert (
+        PaperReport(tiny_world).render_text()
+        == PaperReport(tiny_world, engine="legacy").render_text()
+    )
