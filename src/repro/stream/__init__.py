@@ -7,7 +7,8 @@ fact; this package answers it *while it happens*.  Three pieces:
   Sec. III ingest that follows the chain head block-by-block and appends
   into a mutable columnar store.
 * :mod:`repro.stream.scheduler` -- :class:`DirtyTokenScheduler`,
-  re-refines and re-detects only the tokens each tick touched while
+  re-refines only the tokens whose transfers changed and re-detects
+  only the tokens whose candidates hold a touched account, while
   keeping the cross-token repeated-SCC state incrementally correct.
 * :mod:`repro.stream.monitor` -- :class:`StreamingMonitor`, the service
   facade: subscriber callbacks, typed :class:`Alert` events and per-tick

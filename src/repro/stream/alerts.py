@@ -159,7 +159,9 @@ class MonitorSnapshot:
     new_transfer_count: int
     #: Tokens receiving new transfers this tick.
     touched_token_count: int
-    #: Tokens re-refined this tick (touched + account-activity dirty).
+    #: Tokens reprocessed this tick: re-refined (new or rolled-back
+    #: transfers), re-detected (a candidate member's transactions
+    #: changed), vanished, or flipped by the repeated-SCC pool.
     dirty_token_count: int
     #: Confirmed activities gained / lost this tick.
     newly_confirmed_count: int
@@ -177,10 +179,11 @@ class MonitorSnapshot:
     #: Alerts raised this tick.
     alerts: Tuple[Alert, ...] = field(default_factory=tuple)
     #: Exactly the tokens the scheduler reprocessed this tick (touched,
-    #: rolled back, or flipped by the repeated-SCC pool), in
-    #: deterministic token order.  ``len(dirty_nfts) ==
-    #: dirty_token_count``; the serving layer keys its aggregate-cache
-    #: invalidation on this set.
+    #: rolled back, holding a candidate with a touched account, or
+    #: flipped by the repeated-SCC pool), in deterministic token order.
+    #: A token a touched account appears in only outside its candidates
+    #: is not among them.  ``len(dirty_nfts) == dirty_token_count``; the
+    #: serving layer keys its aggregate-cache invalidation on this set.
     dirty_nfts: Tuple[NFTKey, ...] = field(default_factory=tuple)
     #: The tick's deterministic trace id -- shared by every alert the
     #: tick raised and by the tick's spans ("" for snapshots built

@@ -234,11 +234,13 @@ class StreamingMonitor:
     def advance(self, to_block: Optional[int] = None) -> MonitorSnapshot:
         """Ingest blocks up to ``to_block`` (default: head) and re-detect.
 
-        If the cursor had to roll back a reorg first, the rolled-back
-        tokens (including tokens that vanished from the store entirely)
-        lead the dirty set, so the scheduler retracts their confirmed
-        activities before the canonical branch's confirmations are
-        diffed in.
+        The tick's new and rolled-back tokens are re-refined; the
+        touched accounts go to the scheduler, which re-detects the other
+        tokens holding a candidate with one of them.  If the cursor had
+        to roll back a reorg first, the rolled-back tokens (including
+        tokens that vanished from the store entirely) lead the dirty
+        set, so the scheduler retracts their confirmed activities before
+        the canonical branch's confirmations are diffed in.
         """
         # The trace id is minted unconditionally and deterministically
         # (registry-independent): alerts carry it, and the obs-on/off
@@ -254,13 +256,9 @@ class StreamingMonitor:
                 dirty.extend(
                     nft for nft in tick.touched_nfts if nft not in rolled_back
                 )
-                if tick.touched_accounts:
-                    covered = rolled_back | set(tick.touched_nfts)
-                    extra = (
-                        self.cursor.tokens_touching(tick.touched_accounts) - covered
-                    )
-                    dirty.extend(sorted(extra, key=self.scheduler.order_of))
-                report = self.scheduler.process(dirty, self.context)
+                report = self.scheduler.process(
+                    dirty, self.context, tick.touched_accounts
+                )
 
                 self.tick_count += 1
                 alerts = self._alerts_for(tick, report, trace)

@@ -3,10 +3,22 @@
 The batch engine refines and confirms every token on every run.  The
 scheduler instead keeps one :class:`TokenState` per token (its funnel
 stage statistics, refined candidates and per-candidate detector
-evidence) and recomputes only the tokens a tick marked *dirty*: tokens
-with new transfers, plus tokens containing an account whose collected
-transaction list changed (the detectors read those lists, so their
-verdicts may move even without a new transfer of the token).
+evidence) and recomputes only what a tick can have moved.  Each tick
+splits into two dirty classes:
+
+* **refine-dirty** tokens -- new or rolled-back transfers -- are
+  re-refined and re-detected.  Refinement reads only the token's own
+  columns and the service/contract masks, and an account's mask bit is
+  fixed when the account is interned, so no other token's refinement
+  can move.
+* **detect-only** tokens keep their cached stages and candidates and
+  only re-run the detectors: tokens holding a candidate with a member
+  account whose collected transaction list changed this tick.  The
+  detectors read nothing but candidate members' transaction lists, so
+  a token with no touched candidate member keeps its verdicts.  An
+  inverted index from account to the tokens holding a candidate with
+  that account, maintained as states are installed and retired, finds
+  them.
 
 The global repeated-SCC rule (Sec. IV-C v) is maintained incrementally:
 a multiset of base-confirmed account sets is updated as dirty tokens are
@@ -75,11 +87,19 @@ class TokenState:
 class TickReport:
     """Detection-state changes caused by one scheduler pass."""
 
-    #: Tokens actually reprocessed (dirty + repeated-SCC flips).
+    #: Tokens actually reprocessed: refine-dirty, detect-only, vanished
+    #: and repeated-SCC flips.  A token an account touched only outside
+    #: its candidates is not reprocessed, so it is not counted.
     dirty_token_count: int = 0
     #: The same tokens by key, in deterministic (first-seen) order --
     #: the precise invalidation set for downstream result caches.
     dirty_nfts: Tuple[NFTKey, ...] = ()
+    #: Live tokens re-refined (new or rolled-back transfers), in the
+    #: order the caller named them.
+    refined_nfts: Tuple[NFTKey, ...] = ()
+    #: Tokens re-detected on their cached candidates (a candidate member
+    #: account's transactions changed), in first-seen order.
+    redetected_nfts: Tuple[NFTKey, ...] = ()
     #: Activities confirmed this tick, in deterministic token order.
     newly_confirmed: List[WashTradingActivity] = field(default_factory=list)
     #: NFTs that gained their first confirmed activity this tick.
@@ -169,6 +189,9 @@ class DirtyTokenScheduler:
         #: Account set -> tokens holding a base-unconfirmed candidate
         #: with exactly that set (repeated-SCC flip propagation).
         self._unconfirmed_index: Dict[FrozenSet[str], Set[NFTKey]] = {}
+        #: Account -> tokens holding a candidate with that account among
+        #: its members (detect-only propagation).
+        self._candidate_tokens: Dict[str, Set[NFTKey]] = {}
         #: Currently confirmed activities per token, keyed for diffing.
         self._confirmed: Dict[NFTKey, Dict[ActivityKey, WashTradingActivity]] = {}
         self.confirmed_activity_count = 0
@@ -176,6 +199,14 @@ class DirtyTokenScheduler:
         self._metric_dirty = self.registry.counter(
             "scheduler_dirty_tokens_total",
             "Tokens reprocessed across all ticks (dirty + repeated-SCC flips).",
+        )
+        self._metric_refined = self.registry.counter(
+            "scheduler_refined_tokens_total",
+            "Tokens re-refined across all ticks (new or rolled-back transfers).",
+        )
+        self._metric_redetected = self.registry.counter(
+            "scheduler_redetected_tokens_total",
+            "Tokens re-detected on cached candidates across all ticks.",
         )
         self._metric_confirmations = self.registry.counter(
             "scheduler_confirmations_total",
@@ -234,9 +265,20 @@ class DirtyTokenScheduler:
 
     # -- tick processing ---------------------------------------------------
     def process(
-        self, dirty_tokens: Iterable[NFTKey], context: DetectionContext
+        self,
+        dirty_tokens: Iterable[NFTKey],
+        context: DetectionContext,
+        touched_accounts: Iterable[str] = (),
     ) -> TickReport:
-        """Re-refine and re-detect the dirty tokens; diff the outcome.
+        """Re-refine the dirty tokens, re-detect touched candidates; diff.
+
+        ``dirty_tokens`` are the refine-dirty tokens: new or rolled-back
+        transfers.  ``touched_accounts`` are the accounts whose collected
+        transaction lists changed; every other known token holding a
+        candidate with one of them among its members is re-detected on
+        its cached candidates (detect-only).  Both classes go through
+        the same retire/install step, so the repeated-SCC pool and flip
+        propagation stay exact.
 
         Dirty tokens no longer present in the store -- every one of
         their transfers was rolled back by a chain reorg -- are *fully
@@ -256,8 +298,14 @@ class DirtyTokenScheduler:
                 live.append(nft)
             elif nft in self.states:
                 vanished.append(nft)
-        report = TickReport()
-        if not live and not vanished:
+        holders: Set[NFTKey] = set()
+        for account in touched_accounts:
+            holders.update(self._candidate_tokens.get(account, ()))
+        redetect = sorted(holders - seen, key=self._token_order.__getitem__)
+        report = TickReport(
+            refined_nfts=tuple(live), redetected_nfts=tuple(redetect)
+        )
+        if not live and not vanished and not redetect:
             return report
         self._refresh_masks()
 
@@ -272,12 +320,12 @@ class DirtyTokenScheduler:
                 fanned_states = self._fan_out_states(live, context)
             if fanned_states is None:
                 refinements = self._refine_live(live) if live else []
-                # Fresh per-tick wrap: account transaction lists grow
-                # between ticks, so the cache must never outlive the tick.
-                context = CachingDetectionContext(context)
+        # Fresh per-tick wrap: account transaction lists grow between
+        # ticks, so the cache must never outlive the tick.
+        context = CachingDetectionContext(context)
 
         flipped_sets: Set[FrozenSet[str]] = set()
-        with self.registry.span("detect", tokens=len(live)):
+        with self.registry.span("detect", tokens=len(live) + len(redetect)):
             for nft in vanished:
                 self._retire_state(nft, self.states.pop(nft), flipped_sets)
             for index, nft in enumerate(live):
@@ -292,9 +340,17 @@ class DirtyTokenScheduler:
                 else:
                     state = self._detect_state(refinements[index], context)
                 self._install_state(nft, state, flipped_sets)
+            # Detect-only tokens run serially: their candidates are
+            # cached, so only the detectors' reads can have moved.
+            for nft in redetect:
+                old = self.states[nft]
+                self._retire_state(nft, old, flipped_sets)
+                self._install_state(
+                    nft, self._detect_state(old, context), flipped_sets
+                )
 
         with self.registry.span("diff"):
-            affected = set(live) | set(vanished)
+            affected = set(live) | set(vanished) | set(redetect)
             if self._repeat_enabled:
                 for account_set in flipped_sets:
                     affected |= self._unconfirmed_index.get(account_set, set())
@@ -322,6 +378,8 @@ class DirtyTokenScheduler:
                 self._token_order.pop(nft, None)
 
         self._metric_dirty.inc(report.dirty_token_count)
+        self._metric_refined.inc(len(live))
+        self._metric_redetected.inc(len(redetect))
         self._metric_confirmations.inc(len(report.newly_confirmed))
         self._metric_retractions.inc(len(report.retracted))
         self._metric_tracked.set(len(self.states))
@@ -474,7 +532,8 @@ class DirtyTokenScheduler:
             pool.close()
 
     def _detect_state(self, refinement, context: DetectionContext) -> TokenState:
-        """Run the per-component detectors over one token's refinement."""
+        """Run the per-component detectors over one token's refinement
+        (a fresh one, or a cached :class:`TokenState` being re-detected)."""
         return TokenState(
             stages=refinement.stages,
             candidates=refinement.candidates,
@@ -487,9 +546,16 @@ class DirtyTokenScheduler:
     def _retire_state(
         self, nft: NFTKey, state: TokenState, flipped_sets: Set[FrozenSet[str]]
     ) -> None:
-        """Undo a token's contribution to the cross-token repeated state."""
+        """Undo a token's contribution to the cross-token repeated state
+        and to the candidate-account index."""
         for component, evidence in zip(state.candidates, state.evidence):
             accounts = component.accounts
+            for account in accounts:
+                tokens = self._candidate_tokens.get(account)
+                if tokens is not None:
+                    tokens.discard(nft)
+                    if not tokens:
+                        del self._candidate_tokens[account]
             if evidence:
                 self._confirmed_pool[accounts] -= 1
                 if self._confirmed_pool[accounts] <= 0:
@@ -505,10 +571,13 @@ class DirtyTokenScheduler:
     def _install_state(
         self, nft: NFTKey, state: TokenState, flipped_sets: Set[FrozenSet[str]]
     ) -> None:
-        """Record a token's fresh contribution to the repeated state."""
+        """Record a token's fresh contribution to the repeated state and
+        to the candidate-account index."""
         self.states[nft] = state
         for component, evidence in zip(state.candidates, state.evidence):
             accounts = component.accounts
+            for account in accounts:
+                self._candidate_tokens.setdefault(account, set()).add(nft)
             if evidence:
                 if self._confirmed_pool[accounts] == 0:
                     flipped_sets.add(accounts)

@@ -27,6 +27,29 @@ from repro.simulation.reorg import apply_random_reorg
 from repro.stream import StreamingMonitor
 
 
+#: Tick width for the pool tests: on the tiny world, 1-block ticks
+#: never carry more than one live dirty token, so the pool is never
+#: tried; at 25 blocks nearly every tick carries several.
+FANNED_STEP_BLOCKS = 25
+
+
+def _count_map_shards(monkeypatch):
+    """Record the result of every ``SchedulerPool.map_shards`` call
+    (``None`` = the pool failed and the tick ran serially)."""
+    import repro.engine.executor as executor
+
+    shipped = []
+    original = executor.SchedulerPool.map_shards
+
+    def counting(self, shard_tokens, payload):
+        rows = original(self, shard_tokens, payload)
+        shipped.append(rows)
+        return rows
+
+    monkeypatch.setattr(executor.SchedulerPool, "map_shards", counting)
+    return shipped
+
+
 def _storm_run(world, monitor, seed: int, ticks: int = 10):
     """Drive a monitor through a seeded reorg storm; returns snapshots."""
     rng = random.Random(seed)
@@ -108,10 +131,16 @@ class TestFanOutParity:
         finally:
             monitor.close()
 
-    def test_close_is_idempotent(self, tiny_world):
+    def test_close_is_idempotent(self, tiny_world, monkeypatch):
+        shipped = _count_map_shards(monkeypatch)
         monitor = StreamingMonitor.for_world(tiny_world, workers=2)
-        monitor.run()
+        monitor.run(step_blocks=FANNED_STEP_BLOCKS)
+        # The pool must really have served ticks, or closing is vacuous.
+        assert shipped, "no tick reached the process pool"
+        assert all(rows is not None for rows in shipped)
+        assert monitor.scheduler._pool is not None
         monitor.close()
+        assert monitor.scheduler._pool is None
         monitor.close()
         # A closed monitor keeps ticking on the serial path.
         monitor.advance(monitor.processed_block)
@@ -129,6 +158,7 @@ class TestSerialFallback:
 
         monkeypatch.setattr(executor, "ProcessPoolExecutor", ExplodingPool)
 
+        shipped = _count_map_shards(monkeypatch)
         world = build_default_world(SimulationConfig.tiny())
         serial_world = build_default_world(SimulationConfig.tiny())
         serial = StreamingMonitor.for_world(serial_world, workers=0)
@@ -136,17 +166,19 @@ class TestSerialFallback:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                fanned.run()
+                fanned.run(step_blocks=FANNED_STEP_BLOCKS)
+            # The pool was tried (once) before the warning is checked.
+            assert fanned.scheduler._pool is not None
+            assert shipped == [None], "the pool must be tried exactly once"
             fallbacks = [
                 entry
                 for entry in caught
                 if issubclass(entry.category, RuntimeWarning)
                 and "falling back to serial" in str(entry.message)
             ]
-            assert fallbacks, "the degradation must be announced"
-            assert fanned.scheduler._pool is not None
+            assert len(fallbacks) == 1, "the degradation must be announced once"
             assert fanned.scheduler._pool.failed
-            serial.run()
+            serial.run(step_blocks=FANNED_STEP_BLOCKS)
             assert _stream_fingerprint(fanned) == _stream_fingerprint(serial)
         finally:
             fanned.close()
