@@ -2,8 +2,8 @@
 
 Every case runs the full detection pipeline (refinement + confirmation)
 over a synthetic world, parametrized by world size *and* detection
-backend -- the legacy networkx path, the serial columnar engine and the
-process-pool engine.  Select backends with ``--backends``, e.g.::
+backend -- the legacy networkx path and the columnar engine.  Select
+backends with ``--backends``, e.g.::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_pipeline_scaling.py \
         --backends legacy,engine -q

@@ -15,15 +15,13 @@ from repro.simulation.builder import build_default_world
 from repro.simulation.config import SimulationConfig
 
 #: Detection backends the backend-parametrized benchmarks can compare.
-#: "legacy" is the networkx reference path, "engine" the serial
-#: columnar engine (CSR refinement, compiled Tarjan when available),
-#: "engine-mp" the same engine on a 4-worker process pool.
-ALL_BACKENDS = ("legacy", "engine", "engine-mp")
+#: "legacy" is the networkx reference path, "engine" the columnar
+#: engine (CSR refinement, compiled Tarjan when available).
+ALL_BACKENDS = ("legacy", "engine")
 
 BACKEND_PIPELINE_KWARGS = {
     "legacy": {"engine": "legacy"},
     "engine": {"engine": "columnar"},
-    "engine-mp": {"engine": "columnar", "workers": 4},
 }
 
 

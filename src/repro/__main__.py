@@ -205,15 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
             "terminal output entirely (only the file copy is written)"
         ),
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "worker processes for the columnar engine; 0 or 1 runs the "
-            "deterministic serial path (default: 0)"
-        ),
-    )
     return parser
 
 
@@ -263,15 +254,6 @@ def build_monitor_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "worker processes for per-tick dirty-token refinement; 0 or 1 "
-            "runs the deterministic serial path (default: 0)"
-        ),
-    )
-    parser.add_argument(
         "--quiet",
         action="store_true",
         help="print only the final summary line, not the alert stream",
@@ -311,15 +293,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_REORG_DEPTH,
         metavar="BLOCKS",
         help="rollback journal window passed to the monitor",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "worker processes for per-tick dirty-token refinement; 0 or 1 "
-            "runs the deterministic serial path (default: 0)"
-        ),
     )
     parser.add_argument(
         "--shards",
@@ -617,12 +590,6 @@ def build_scenario_parser() -> argparse.ArgumentParser:
         help="number of serve-index shards (default: 1)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="refinement worker threads, 0 = inline (default: 0)",
-    )
-    parser.add_argument(
         "--no-wire",
         action="store_true",
         help="skip the wire tier (no server, no wire parity check)",
@@ -688,7 +655,6 @@ def run_scenario_command(argv: Sequence[str]) -> int:
         speed=args.speed,
         seed=args.seed,
         shards=args.shards,
-        workers=args.workers,
         wire=not args.no_wire,
         evaluate_slos=not args.no_slo,
         verify_parity=not args.no_verify,
@@ -876,11 +842,7 @@ def run_batch(argv: Sequence[str]) -> int:
 
     started = time.time()
     world = build_default_world(config)
-    report = PaperReport(
-        world,
-        workers=args.workers,
-        enabled_methods=_enabled_methods(args),
-    )
+    report = PaperReport(world, enabled_methods=_enabled_methods(args))
     text = report.render_text()
     elapsed = time.time() - started
 
@@ -922,7 +884,6 @@ def run_monitor(argv: Sequence[str]) -> int:
         retain_scan_matches=not args.bounded_memory,
         enabled_methods=_enabled_methods(args),
         registry=obs.registry,
-        workers=args.workers,
     )
 
     if not args.quiet:
@@ -955,7 +916,6 @@ def run_monitor(argv: Sequence[str]) -> int:
     started = time.time()
     snapshots = monitor.run(step_blocks=args.step_blocks)
     elapsed = time.time() - started
-    monitor.close()
     obs.finish()
 
     result = monitor.result()
@@ -1009,7 +969,6 @@ def run_serve(argv: Sequence[str]) -> int:
             retain_scan_matches=not args.bounded_memory,
             enabled_methods=_enabled_methods(args),
             registry=obs.registry,
-            workers=args.workers,
         )
         service = ServeService(
             monitor,

@@ -53,8 +53,6 @@ class PaperReport:
     #: Detection backend: the columnar engine by default; "legacy" runs
     #: the networkx reference the parity tests compare against.
     engine: str = "columnar"
-    #: Worker processes for the columnar engine (0/1 = in-process serial).
-    workers: int = 0
     #: Detection methods to run; None keeps the pipeline's paper set.
     enabled_methods: Optional[frozenset] = None
     _dataset: Optional[NFTDataset] = field(default=None, repr=False)
@@ -79,7 +77,6 @@ class PaperReport:
                 is_contract=self.world.is_contract,
                 config=self.detection_config,
                 engine=self.engine,
-                workers=self.workers,
                 enabled_methods=self.enabled_methods,
             )
             self._result = pipeline.run(self.dataset)

@@ -56,9 +56,6 @@ class DetectionConfig:
     min_internally_funded_members: int = 1
     #: An internal exit must receive from at least this many *other* members.
     min_internal_exit_members: int = 1
-    #: Use the NetworkX SCC implementation (True, as the paper does) or the
-    #: independent Tarjan implementation (False).
-    use_networkx_scc: bool = True
     #: Sliding window sizes of the volume-matching detector, in seconds,
     #: tried smallest-first (hour, day, week by default).
     volume_match_windows: Tuple[int, ...] = (3600, 86400, 604800)

@@ -134,8 +134,8 @@ class PipelineResult:
 def build_detectors(enabled_methods: Iterable[DetectionMethod]) -> List[Detector]:
     """The per-component detectors for a method set, in canonical order.
 
-    Shared by the legacy pipeline and the engine's shard workers so both
-    paths apply the confirmation techniques identically.
+    Shared by the legacy pipeline, the engine and the streaming
+    scheduler so every path applies the confirmation techniques identically.
     """
     enabled = set(enabled_methods)
     detectors: List[Detector] = []
@@ -191,8 +191,8 @@ class WashTradingPipeline:
     ``engine`` selects the execution backend.  ``"columnar"`` (the
     default; ``"kernel"`` names the same engine) runs
     :mod:`repro.engine`: batched CSR refinement with the compiled Tarjan
-    when a C compiler is around, memoised detector money flows, and
-    token shards optionally spread across ``workers`` processes.
+    when a C compiler is around and memoised detector money flows, all
+    in one process.
     ``"legacy"`` runs the paper's networkx implementation, kept as the
     reference the parity tests (``tests/engine/test_parity.py``,
     ``tests/engine/test_kernel_parity.py``) pin the engine against.
@@ -209,8 +209,6 @@ class WashTradingPipeline:
         enabled_methods: Optional[Iterable[DetectionMethod]] = None,
         funnel: Optional[RefinementFunnel] = None,
         engine: str = "columnar",
-        workers: int = 0,
-        shards: Optional[int] = None,
     ) -> None:
         if engine not in self.ENGINES:
             raise ValueError(
@@ -226,8 +224,6 @@ class WashTradingPipeline:
         )
         self.funnel = funnel or RefinementFunnel(labels=labels, is_contract=is_contract)
         self.engine = engine
-        self.workers = workers
-        self.shards = shards
 
     def _run_engine(self, dataset: NFTDataset) -> PipelineResult:
         """The columnar engine branch; lazy import avoids a module cycle."""
@@ -239,8 +235,6 @@ class WashTradingPipeline:
             is_contract=self.is_contract,
             config=self.config,
             enabled_methods=self.enabled_methods,
-            workers=self.workers,
-            shards=self.shards,
             skip_service_removal=self.funnel.skip_service_removal,
             skip_contract_removal=self.funnel.skip_contract_removal,
             skip_zero_volume_removal=self.funnel.skip_zero_volume_removal,

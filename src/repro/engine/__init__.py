@@ -10,8 +10,8 @@ default of ``WashTradingPipeline``, layered as:
   compiler or under ``REPRO_NO_CKERNEL=1``), and the memoised
   :class:`~repro.engine.kernels.CachingDetectionContext` the detectors
   read.
-* :mod:`repro.engine.executor` -- contiguous token shards executed
-  serially or on a process pool, merged deterministically.
+* :mod:`repro.engine.executor` -- one single-process pass: refine every
+  token, confirm the candidates, then apply the repeated-SCC rule.
 
 :mod:`repro.engine.refine` keeps the per-token mask refinement
 (:func:`refine_tokens`) as the reference the kernel tests compare the
@@ -21,13 +21,7 @@ reference; the parity tests in ``tests/engine`` pin the two to
 identical output.
 """
 
-from repro.engine.executor import (
-    AccountSetPredicate,
-    SharedPayload,
-    ShardResult,
-    partition_tokens,
-    run_columnar_pipeline,
-)
+from repro.engine.executor import run_columnar_pipeline
 from repro.engine.refine import (
     STAGE_NAMES,
     ShardRefinement,
@@ -39,16 +33,12 @@ from repro.engine.refine import (
 from repro.engine.store import ColumnarTransferStore, TokenColumns
 
 __all__ = [
-    "AccountSetPredicate",
     "ColumnarTransferStore",
     "STAGE_NAMES",
-    "SharedPayload",
     "ShardRefinement",
-    "ShardResult",
     "StageAccumulator",
     "TokenColumns",
     "TokenComponent",
-    "partition_tokens",
     "refine_tokens",
     "run_columnar_pipeline",
     "token_components",

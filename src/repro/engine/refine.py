@@ -211,7 +211,7 @@ def token_components(
 
 @dataclass
 class ShardRefinement:
-    """Refinement output of one shard: candidates plus stage statistics."""
+    """Refinement output of one batch of tokens: candidates plus stage statistics."""
 
     candidates: List[CandidateComponent]
     stages: List[StageAccumulator]

@@ -31,6 +31,11 @@ other tokens flip when a set enters or leaves the confirmed pool.
 *identical* -- same candidate order, same activities, same funnel
 statistics -- to a batch ``WashTradingPipeline(engine="columnar")`` run
 over the same data (pinned by ``tests/stream``).
+
+Ticks run in the calling process.  A tick refines a handful of dirty
+tokens in milliseconds, so shipping them to worker processes -- with the
+account table and transaction index pickled along every tick -- only
+ever made the monitor slower (35-42x on the default world, 2-vCPU Xeon).
 """
 
 from __future__ import annotations
@@ -53,11 +58,6 @@ from repro.core.detectors.pipeline import (
     collect_evidence,
 )
 from repro.core.refine import RefinementResult
-from repro.engine.executor import (
-    SchedulerPool,
-    SharedPayload,
-    partition_tokens,
-)
 from repro.engine.kernels import (
     CachingDetectionContext,
     active_backend,
@@ -75,7 +75,7 @@ ActivityKey = Tuple[Tuple[str, ...], Tuple[str, ...]]
 class TokenState:
     """Everything the scheduler remembers about one token."""
 
-    #: Per-token funnel statistics (mergeable shard accumulators).
+    #: Per-token funnel statistics (mergeable stage accumulators).
     stages: List[StageAccumulator]
     #: Refined candidates, in engine order.
     candidates: List[CandidateComponent]
@@ -145,7 +145,6 @@ class DirtyTokenScheduler:
         skip_contract_removal: bool = False,
         skip_zero_volume_removal: bool = False,
         registry: Optional[MetricsRegistry] = None,
-        workers: int = 0,
     ) -> None:
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.store = store
@@ -162,14 +161,6 @@ class DirtyTokenScheduler:
         self.skip_contract_removal = skip_contract_removal
         self.skip_zero_volume_removal = skip_zero_volume_removal
         self._repeat_enabled = DetectionMethod.REPEATED_SCC in self.methods
-        #: ``workers > 1`` fans each tick's refine+detect out to the
-        #: persistent scheduler process pool (:class:`SchedulerPool`);
-        #: per-shard results are concatenated in shard order, so the
-        #: installed states -- and therefore every downstream diff,
-        #: alert and served answer -- are bit-identical to the serial
-        #: path.  The pool is created lazily and survives across ticks.
-        self.workers = workers
-        self._pool: Optional[SchedulerPool] = None
 
         #: Exclusion masks, grown as new accounts are interned.
         self._service_ids: Set[int] = set()
@@ -309,17 +300,8 @@ class DirtyTokenScheduler:
             return report
         self._refresh_masks()
 
-        # The sharded backend computes refine+detect per token in worker
-        # processes (both land inside the "refine" span there); the pool
-        # deltas -- retire/install against the repeated-SCC state -- are
-        # always merged serially at the tick barrier below, which is
-        # what keeps the cross-token flip propagation exact.
-        fanned_states: Optional[List[TokenState]] = None
         with self.registry.span("refine", tokens=len(live)):
-            if live and self.workers > 1 and len(live) > 1:
-                fanned_states = self._fan_out_states(live, context)
-            if fanned_states is None:
-                refinements = self._refine_live(live) if live else []
+            refinements = self._refine_live(live) if live else []
         # Fresh per-tick wrap: account transaction lists grow between
         # ticks, so the cache must never outlive the tick.
         context = CachingDetectionContext(context)
@@ -335,13 +317,10 @@ class DirtyTokenScheduler:
                 old = self.states.get(nft)
                 if old is not None:
                     self._retire_state(nft, old, flipped_sets)
-                if fanned_states is not None:
-                    state = fanned_states[index]
-                else:
-                    state = self._detect_state(refinements[index], context)
+                state = self._detect_state(refinements[index], context)
                 self._install_state(nft, state, flipped_sets)
-            # Detect-only tokens run serially: their candidates are
-            # cached, so only the detectors' reads can have moved.
+            # Detect-only tokens keep their cached candidates: only the
+            # detectors' reads can have moved.
             for nft in redetect:
                 old = self.states[nft]
                 self._retire_state(nft, old, flipped_sets)
@@ -393,7 +372,7 @@ class DirtyTokenScheduler:
         Candidates come out in store (first-seen) order; activities list
         the base-confirmed components first and the repeated-SCC
         confirmations after them, each group in candidate order --
-        exactly how the columnar executor merges its shards and then
+        exactly how the columnar executor confirms its candidates and then
         applies ``confirm_repeated_components``.
         """
         merged = [StageAccumulator(name=name) for name in STAGE_NAMES]
@@ -467,69 +446,6 @@ class DirtyTokenScheduler:
             skip_contract_removal=self.skip_contract_removal,
             skip_zero_volume_removal=self.skip_zero_volume_removal,
         )
-
-    def _fan_out_states(
-        self, live: List[NFTKey], context: DetectionContext
-    ) -> Optional[List[TokenState]]:
-        """Per-token states from the process-pool backend, in ``live`` order.
-
-        Ships the tick's dirty tokens to the persistent scheduler pool
-        in contiguous shards; the per-shard ``(stages, candidates,
-        evidence)`` rows concatenate in shard order, so the returned
-        list is positionally identical to the serial refine+detect
-        path.  The payload's transaction index is restricted to the
-        accounts appearing in the shipped tokens -- detector reads are
-        bounded by candidate component members, which are always token
-        transfer endpoints.  Returns ``None`` when the pool is unusable
-        so the caller falls back serially.
-        """
-        pool = self._pool
-        if pool is None:
-            pool = self._pool = SchedulerPool(self.workers)
-        if pool.failed:
-            return None
-        columns = [self.store.tokens[nft] for nft in live]
-        account_ids: Set[int] = set()
-        for column in columns:
-            account_ids.update(column.account_ids)
-        accounts = self.store.accounts
-        transactions: Dict[str, list] = {}
-        for account_id in account_ids:
-            address = accounts[account_id]
-            collected = context.dataset.transactions_of(address)
-            if collected:
-                transactions[address] = collected
-        payload = SharedPayload(
-            accounts=accounts,
-            service_ids=self._service_mask,
-            contract_ids=self._contract_mask,
-            contract_addresses=self.store.addresses_of(
-                self._contract_mask.intersection(account_ids)
-            ),
-            labels=self.labels,
-            config=self.config,
-            enabled_methods=self.methods,
-            account_transactions=transactions,
-            skip_service_removal=self.skip_service_removal,
-            skip_contract_removal=self.skip_contract_removal,
-            skip_zero_volume_removal=self.skip_zero_volume_removal,
-        )
-        rows = pool.map_shards(partition_tokens(columns, self.workers), payload)
-        if rows is None:
-            return None
-        states: List[TokenState] = []
-        for shard_rows in rows:
-            for stages, candidates, evidence in shard_rows:
-                states.append(
-                    TokenState(stages=stages, candidates=candidates, evidence=evidence)
-                )
-        return states
-
-    def close(self) -> None:
-        """Release the worker pool, if any; serial processing still works."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
 
     def _detect_state(self, refinement, context: DetectionContext) -> TokenState:
         """Run the per-component detectors over one token's refinement

@@ -6,7 +6,7 @@ the CSR refinement (:func:`refine_tokens_kernel`,
 reference :func:`refine_tokens`, and the engine ``WashTradingPipeline``
 runs by default must be identical to the legacy networkx path
 (``engine="legacy"``) -- compiled backend and pure-Python fallback,
-batch (serial and process-pool) and streaming, in-order and through a
+batch and streaming, in-order and through a
 reorg storm.  The opt-in volume-match detector is pinned batch ==
 stream here as well.
 """
@@ -142,15 +142,12 @@ def tiny_legacy(tiny_world, tiny_dataset):
 
 
 class TestKernelPipelineParity:
-    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "process-pool"])
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_kernel_engine_matches_legacy(
-        self, tiny_world, tiny_dataset, tiny_legacy, workers, backend
+        self, tiny_world, tiny_dataset, tiny_legacy, backend
     ):
         with backend_context(backend):
-            kernel = run_backend(
-                tiny_world, tiny_dataset, engine="kernel", workers=workers
-            )
+            kernel = run_backend(tiny_world, tiny_dataset, engine="kernel")
         assert_full_parity(kernel, tiny_legacy)
 
 

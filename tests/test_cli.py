@@ -64,11 +64,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_query_parser().parse_args(["--connect", "h:1"])  # no verb
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run"],
+            ["monitor"],
+            ["serve"],
+            ["scenario", "reorg-storm-rush"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_workers_flag_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_scenario_parser_defaults(self):
         args = build_scenario_parser().parse_args(["reorg-storm-rush"])
         assert args.name == "reorg-storm-rush"
         assert args.speed is None and args.seed is None
-        assert args.shards == 1 and args.workers == 0
+        assert args.shards == 1
         assert not args.no_wire and not args.no_verify and not args.no_slo
         assert not args.list_scenarios and not args.as_json and not args.quiet
 
@@ -77,12 +93,12 @@ class TestParser:
             [
                 "day-in-the-life",
                 "--speed", "500000", "--seed", "9",
-                "--shards", "4", "--workers", "2",
+                "--shards", "4",
                 "--no-wire", "--no-slo", "--json", "--quiet",
             ]
         )
         assert args.speed == 500000.0 and args.seed == 9
-        assert args.shards == 4 and args.workers == 2
+        assert args.shards == 4
         assert args.no_wire and args.no_slo and args.as_json and args.quiet
 
 
