@@ -245,15 +245,6 @@ def build_monitor_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--bounded-memory",
-        action="store_true",
-        help=(
-            "drop raw scan matches once their blocks leave the rollback "
-            "journal (retention becomes O(journal) instead of O(chain); "
-            "detection state is unaffected)"
-        ),
-    )
-    parser.add_argument(
         "--quiet",
         action="store_true",
         help="print only the final summary line, not the alert stream",
@@ -308,11 +299,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the dirty-token-keyed aggregate cache (recompute "
         "every aggregate per query)",
-    )
-    parser.add_argument(
-        "--bounded-memory",
-        action="store_true",
-        help="run the ingest cursor with O(journal) scan-match retention",
     )
     parser.add_argument(
         "--watch",
@@ -881,7 +867,6 @@ def run_monitor(argv: Sequence[str]) -> int:
         world,
         watchlist=args.watch,
         max_reorg_depth=args.max_reorg_depth,
-        retain_scan_matches=not args.bounded_memory,
         enabled_methods=_enabled_methods(args),
         registry=obs.registry,
     )
@@ -966,8 +951,7 @@ def run_serve(argv: Sequence[str]) -> int:
             world,
             watchlist=args.watch,
             max_reorg_depth=args.max_reorg_depth,
-            retain_scan_matches=not args.bounded_memory,
-            enabled_methods=_enabled_methods(args),
+                enabled_methods=_enabled_methods(args),
             registry=obs.registry,
         )
         service = ServeService(

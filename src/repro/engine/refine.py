@@ -51,7 +51,7 @@ def _sorted_union(left: array, right: array) -> array:
     """Union of two sorted distinct-id arrays as a sorted distinct array.
 
     ``sorted`` over the concatenation is effectively linear here --
-    timsort gallops across the two pre-sorted runs -- so folding shard
+    timsort gallops across the two pre-sorted runs -- so folding stage
     statistics together never hashes an account id.  The inputs are
     treated as immutable and may be returned directly.
     """
@@ -74,12 +74,13 @@ class StageAccumulator:
     """Mergeable per-stage funnel statistics.
 
     Unlike :class:`FunnelStage` this keeps the raw account ids, so
-    statistics computed independently per shard can be merged without
-    double-counting accounts shared between shards.  Ids live in a
-    sorted, distinct ``array("q")``: :meth:`add` buffers one token's
-    member ids in a small scratch set, and :meth:`merge` /
-    :meth:`to_stage` fold the buffer in with a sorted-array union, so
-    cross-shard merges are linear array fusions instead of per-shard
+    statistics computed independently -- the live scheduler's per-token
+    states, the serve layer's :class:`~repro.serve.funnel.FunnelMaintainer`
+    partials -- can be merged without double-counting accounts they
+    share.  Ids live in a sorted, distinct ``array("q")``: :meth:`add`
+    buffers one token's member ids in a small scratch set, and
+    :meth:`merge` / :meth:`to_stage` fold the buffer in with a
+    sorted-array union, so merges are linear array fusions instead of
     hash-set churn.
     """
 
@@ -113,7 +114,7 @@ class StageAccumulator:
         return set(self._normalized())
 
     def merge(self, other: "StageAccumulator") -> None:
-        """Fold another shard's statistics into this one."""
+        """Fold another accumulator's statistics into this one."""
         self.nft_count += other.nft_count
         self.component_count += other.component_count
         self._sorted_ids = _sorted_union(self._normalized(), other._normalized())

@@ -16,7 +16,6 @@ from typing import Dict, List, Set, Tuple
 from repro.chain.events import Log
 from repro.chain.node import EthereumNode
 from repro.chain.transaction import Transaction
-from repro.chain.types import NFTKey
 from repro.utils.hashing import ERC721_TRANSFER_SIGNATURE
 
 
@@ -28,16 +27,11 @@ class TransferScanResult:
     matches: List[Tuple[Transaction, Log]] = field(default_factory=list)
     #: Addresses of the contracts that emitted at least one matching log.
     emitting_contracts: Set[str] = field(default_factory=set)
-    #: Matches dropped from ``matches`` by a bounded-memory consumer
-    #: (the streaming cursor's ``retain_scan_matches=False`` mode) after
-    #: their rows became permanent.  Counted so ``event_count`` stays the
-    #: true scan total even when the raw pairs are no longer held.
-    pruned_count: int = 0
 
     @property
     def event_count(self) -> int:
         """Number of ERC-721-shaped Transfer events found."""
-        return len(self.matches) + self.pruned_count
+        return len(self.matches)
 
     @property
     def contract_count(self) -> int:
@@ -82,8 +76,3 @@ def decode_transfer_log(log: Log) -> tuple[str, str, int]:
     token_id = int(log.topics[3], 16)
     return sender, recipient, token_id
 
-
-def nft_key_of(log: Log) -> NFTKey:
-    """The (contract, token id) pair of an ERC-721 Transfer log."""
-    _, _, token_id = decode_transfer_log(log)
-    return NFTKey(contract=log.address, token_id=token_id)

@@ -21,27 +21,35 @@ Two properties distinguish the cursor from a naive follower:
   tick that completes, so a retry never loses the dirty set.
 
 * **Reorg safety.**  A live head reorganizes.  The cursor keeps a
-  bounded per-block journal (block hash, scan-match span, appended rows
+  bounded per-block journal (block hash, scan-event count, appended rows
   per token, newly probed contracts and newly involved accounts) for
   the most recent ``max_reorg_depth`` blocks.  At the start of every
   tick it compares its journaled tail hash against the node; on
   divergence it walks the journal back to the fork point and rolls
-  back everything past it -- scan matches, the compliance report,
-  transfer lists, store columns (row-count watermarks;
-  re-columnarization only for tokens that went through the
-  out-of-order rebuild fallback) and account histories -- then
-  re-ingests the canonical branch.  A divergence reaching below the
-  journaled window raises :class:`ReorgTooDeepError`.  Note the window
-  is measured from the highest head the cursor has committed: rolling
-  a block back deletes its journal entry (its contributions were
-  undone), so successive head regressions *consume* the window until
-  freshly ingested blocks rebuild it -- budget headroom accordingly.
+  back everything past it -- the event count, the compliance report,
+  store columns (row-count watermarks; re-columnarization only for
+  tokens that went through the out-of-order rebuild fallback) and
+  account histories -- then re-ingests the canonical branch.  A
+  divergence reaching below the journaled window raises
+  :class:`ReorgTooDeepError`.  Note the window is measured from the
+  highest head the cursor has committed: rolling a block back deletes
+  its journal entry (its contributions were undone), so successive head
+  regressions *consume* the window until freshly ingested blocks
+  rebuild it -- budget headroom accordingly.
+
+The cursor keeps each ingested fact once, and only what detection and
+rollback read: the store's per-token transfers, the account histories,
+the compliance report (whose two sets are also the record of every
+probed contract), the journal and an event counter.  Raw scan matches
+are consumed within their tick, so nothing but the store and the
+account histories grows with the chain.
 
 Invariant: after advancing to block ``B`` of the *current canonical
 chain* -- through any sequence of advances and rollbacks -- the cursor's
-transfers, store and account transactions are exactly what
-``build_dataset(node, to_block=B)`` would produce (the stream/batch
-parity tests, including the randomized reorg replays, pin this).
+store, account transactions, compliance report and event count are
+exactly what ``build_dataset(node, to_block=B)`` would produce (the
+stream/batch parity tests, including the randomized reorg replays, pin
+this).
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ from repro.chain.transaction import Transaction
 from repro.chain.types import NFTKey, NULL_ADDRESS
 from repro.engine.store import ColumnarTransferStore
 from repro.ingest.compliance import ComplianceReport, check_erc721_compliance
-from repro.ingest.dataset import NFTDataset, transfer_from_log
+from repro.ingest.dataset import transfer_from_log
 from repro.ingest.marketplace_attribution import build_reverse_index
 from repro.ingest.records import NFTTransfer
 from repro.ingest.transfer_scan import TransferScanResult, scan_erc721_transfer_logs
@@ -110,8 +118,7 @@ class BlockJournalEntry:
     #: transactions an exact prefix of the new ones) from a real reorg.
     block_timestamp: int = 0
     tx_hashes: Tuple[str, ...] = ()
-    #: Scan matches appended for this block (matches are block-ordered,
-    #: so a rollback removes the summed tail span).
+    #: ERC-721-shaped events this block added to the event count.
     match_count: int = 0
     #: Contracts that emitted their first ERC-721-shaped event in this
     #: block (and were therefore ERC-165-probed because of it).
@@ -269,10 +276,10 @@ class _CursorMetrics:
 class DatasetCursor:
     """Appends freshly mined blocks to a growing dataset, reorg-safely.
 
-    The cursor owns the mutable counterparts of everything
-    ``build_dataset`` returns: ``transfers_by_nft``, the compliance
-    report, the accumulated scan result, ``account_transactions`` and the
-    columnar ``store`` the detection engine reads.  Requests to advance
+    The cursor owns the live counterparts of what detection reads from
+    ``build_dataset``: the columnar ``store`` (whose per-token columns
+    hold the transfers), ``account_transactions``, the ``compliance``
+    report and the scan's ``event_count``.  Requests to advance
     to a block at or behind the cursor are no-ops, so feeding the same
     head twice (an empty tick) or a stale/out-of-order target is safe --
     but a *head that itself moved backwards* is treated as the reorg it
@@ -285,36 +292,26 @@ class DatasetCursor:
         self,
         node: EthereumNode,
         marketplace_addresses: Mapping[str, str],
-        enforce_compliance: bool = True,
         start_block: int = 0,
         max_reorg_depth: int = DEFAULT_MAX_REORG_DEPTH,
-        retain_scan_matches: bool = True,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.registry = registry if registry is not None else NULL_REGISTRY
         self._metrics = _CursorMetrics(self.registry)
         self.node = node
         self.marketplace_addresses = dict(marketplace_addresses)
-        self.enforce_compliance = enforce_compliance
         self.max_reorg_depth = max(max_reorg_depth, 0)
-        #: Bounded-memory mode: when False, raw (transaction, log) scan
-        #: matches are dropped as soon as their blocks fall out of the
-        #: rollback journal -- they exist only for batch-view parity of
-        #: :meth:`as_dataset`, and everything detection reads (store,
-        #: transfer lists, account histories) is retained in full.  The
-        #: retained match list then stays O(journal), not O(chain);
-        #: ``scan.event_count`` remains exact via ``scan.pruned_count``.
-        self.retain_scan_matches = retain_scan_matches
         self._venue_by_address = build_reverse_index(marketplace_addresses)
         #: Next block to ingest; everything below has been processed.
         self.next_block = max(start_block, 0)
         self._start_block = self.next_block
-        self.transfers_by_nft: Dict[NFTKey, List[NFTTransfer]] = {}
         self.account_transactions: Dict[str, List[Transaction]] = {}
+        #: Every contract probed so far, split by the probe's answer.
         self.compliance = ComplianceReport()
-        self.scan = TransferScanResult()
+        #: ERC-721-shaped Transfer events scanned, before the compliance
+        #: filter (``build_dataset``'s ``scan.event_count``).
+        self.event_count = 0
         self.store = ColumnarTransferStore()
-        self._probed_contracts: Set[str] = set()
         #: Per-block undo journal, oldest first, contiguous, bounded to
         #: the last ``max_reorg_depth`` processed blocks.
         self._journal: List[BlockJournalEntry] = []
@@ -332,32 +329,9 @@ class DatasetCursor:
         return self.next_block - 1
 
     @property
-    def transfer_count(self) -> int:
-        """Transfers retained so far."""
-        return sum(len(transfers) for transfers in self.transfers_by_nft.values())
-
-    @property
     def journal_floor(self) -> int:
         """Oldest block the cursor can still roll back to the front of."""
         return self._journal[0].number if self._journal else self.next_block
-
-    def as_dataset(self) -> NFTDataset:
-        """A live :class:`NFTDataset` view over the cursor's state.
-
-        The view shares the cursor's dictionaries (it grows with further
-        ticks) and carries the already-built columnar store, so batch
-        consumers -- tables, figures, a one-off ``WashTradingPipeline``
-        run -- work on streamed data without any copying.
-        """
-        dataset = NFTDataset(
-            transfers_by_nft=self.transfers_by_nft,
-            compliance=self.compliance,
-            scan=self.scan,
-            account_transactions=self.account_transactions,
-            marketplace_addresses=dict(self.marketplace_addresses),
-        )
-        dataset._columnar_store = self.store
-        return dataset
 
     # -- ingest ------------------------------------------------------------
     def advance(self, to_block: Optional[int] = None) -> CursorTick:
@@ -426,7 +400,11 @@ class DatasetCursor:
         tick_scan = scan_erc721_transfer_logs(
             self.node, from_block=from_block, to_block=stop
         )
-        unseen = sorted(tick_scan.emitting_contracts - self._probed_contracts)
+        unseen = sorted(
+            tick_scan.emitting_contracts
+            - self.compliance.compliant
+            - self.compliance.non_compliant
+        )
         probe = (
             check_erc721_compliance(self.node, unseen)
             if unseen
@@ -442,7 +420,7 @@ class DatasetCursor:
 
         new_by_nft: Dict[NFTKey, List[NFTTransfer]] = {}
         for tx, log in tick_scan.matches:
-            if self.enforce_compliance and log.address not in compliant_view:
+            if log.address not in compliant_view:
                 continue
             transfer = transfer_from_log(tx, log, self._venue_by_address)
             new_by_nft.setdefault(transfer.nft, []).append(transfer)
@@ -458,15 +436,12 @@ class DatasetCursor:
         )
 
         # ---- commit: pure in-memory appends, all or nothing -------------
-        self.scan.matches.extend(tick_scan.matches)
-        self.scan.emitting_contracts |= tick_scan.emitting_contracts
+        self.event_count += tick_scan.event_count
         self.compliance.compliant |= probe.compliant
         self.compliance.non_compliant |= probe.non_compliant
-        self._probed_contracts.update(unseen)
 
         new_transfer_count = 0
         for nft, chunk in new_by_nft.items():
-            self.transfers_by_nft.setdefault(nft, []).extend(chunk)
             self.store.append_token_transfers(nft, chunk)
             new_transfer_count += len(chunk)
 
@@ -481,8 +456,6 @@ class DatasetCursor:
         retain = self.max_reorg_depth + 1
         if len(self._journal) > retain:
             del self._journal[: len(self._journal) - retain]
-        if not self.retain_scan_matches:
-            self._prune_scan_matches()
         self.next_block = stop + 1
         self._pending_rollback = None
 
@@ -501,21 +474,6 @@ class DatasetCursor:
             rolled_back_transfer_count=rollback.transfer_count,
             rolled_back_nfts=rollback.nfts,
         )
-
-    def _prune_scan_matches(self) -> None:
-        """Drop scan matches whose blocks left the rollback journal.
-
-        Matches are block-ordered across ticks and rollbacks only ever
-        remove journaled tails, so everything before the journaled span
-        is permanent -- a rollback can never need it again.  Keeping the
-        list trimmed to the journal's own match span bounds the raw
-        match retention at O(journal) regardless of chain length.
-        """
-        retained = sum(entry.match_count for entry in self._journal)
-        drop = len(self.scan.matches) - retained
-        if drop > 0:
-            del self.scan.matches[:drop]
-            self.scan.pruned_count += drop
 
     # -- reorg handling ----------------------------------------------------
     def _detect_divergence_and_rollback(self, head: int) -> _RollbackResult:
@@ -598,19 +556,14 @@ class DatasetCursor:
             keep += 1
         removed_entries = self._journal[keep:]
 
-        # Scan matches are block-ordered across ticks: drop the tail span.
-        removed_matches = sum(entry.match_count for entry in removed_entries)
-        if removed_matches:
-            del self.scan.matches[-removed_matches:]
+        self.event_count -= sum(entry.match_count for entry in removed_entries)
 
         # Contracts first seen in a rolled-back block: un-probe them so a
         # canonical re-appearance probes (and journals) them afresh.
         for entry in removed_entries:
             for contract in entry.new_contracts:
-                self.scan.emitting_contracts.discard(contract)
                 self.compliance.compliant.discard(contract)
                 self.compliance.non_compliant.discard(contract)
-                self._probed_contracts.discard(contract)
 
         # Token rows, by per-block watermark counts.
         removed_rows: Dict[NFTKey, int] = {}
@@ -620,20 +573,20 @@ class DatasetCursor:
         rolled_back_nfts: List[NFTKey] = []
         rolled_back_transfers = 0
         for nft, count in removed_rows.items():
-            transfers = self.transfers_by_nft[nft]
-            kept_rows = len(transfers) - count
+            columns = self.store.tokens[nft]
+            kept_rows = columns.row_count - count
             rolled_back_transfers += count
             rolled_back_nfts.append(nft)
             if kept_rows <= 0:
-                del self.transfers_by_nft[nft]
                 self.store.remove_token(nft)
-                continue
-            del transfers[kept_rows:]
-            if nft in self.store.rebuilt_tokens:
+            elif nft in self.store.rebuilt_tokens:
                 # Out-of-order fallback reshuffled this token's rows:
                 # watermark truncation no longer lines up, so rebuild
-                # from the authoritative (already truncated) list.
-                self.store.rebuild_token(nft, transfers)
+                # from the rows no rolled-back block contributed.
+                self.store.rebuild_token(
+                    nft,
+                    [t for t in columns.transfers if t.block_number <= fork],
+                )
             else:
                 self.store.truncate_token(nft, kept_rows)
 

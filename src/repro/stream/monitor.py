@@ -68,10 +68,8 @@ class StreamingMonitor:
         config: Optional[DetectionConfig] = None,
         enabled_methods: Optional[Iterable[DetectionMethod]] = None,
         watchlist: Optional[Iterable[str]] = None,
-        enforce_compliance: bool = True,
         start_block: int = 0,
         max_reorg_depth: int = DEFAULT_MAX_REORG_DEPTH,
-        retain_scan_matches: bool = True,
         on_subscriber_error: Optional[Callable[[SubscriberError], None]] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -80,10 +78,8 @@ class StreamingMonitor:
         self.cursor = DatasetCursor(
             node,
             marketplace_addresses,
-            enforce_compliance=enforce_compliance,
             start_block=start_block,
             max_reorg_depth=max_reorg_depth,
-            retain_scan_matches=retain_scan_matches,
             registry=self.registry,
         )
         self.scheduler = DirtyTokenScheduler(

@@ -222,15 +222,15 @@ class TestMonitorParity:
         dataset, _ = tiny_batch
         cursor = DatasetCursor(tiny_world.node, tiny_world.marketplace_addresses)
         cursor.advance()
-        assert cursor.transfers_by_nft == dataset.transfers_by_nft
-        assert list(cursor.transfers_by_nft) == list(dataset.transfers_by_nft)
+        reference = ColumnarTransferStore.from_dataset(dataset)
+        assert cursor.store.nfts() == reference.nfts()
+        for nft, columns in reference.tokens.items():
+            assert cursor.store.tokens[nft].transfers == columns.transfers
         assert cursor.account_transactions == dataset.account_transactions
         assert cursor.compliance.compliant == dataset.compliance.compliant
         assert cursor.compliance.non_compliant == dataset.compliance.non_compliant
-        assert cursor.scan.event_count == dataset.scan.event_count
-        view = cursor.as_dataset()
-        assert view.transfer_count == dataset.transfer_count
-        assert view.columnar_store() is cursor.store
+        assert cursor.event_count == dataset.scan.event_count
+        assert cursor.store.transfer_count == dataset.transfer_count
 
     def test_result_is_stable_across_empty_ticks(self, tiny_world, tiny_batch):
         _, batch = tiny_batch

@@ -20,6 +20,7 @@ import pytest
 from repro.chain.block import Block
 from repro.chain.node import EthereumNode
 from repro.core.detectors.pipeline import WashTradingPipeline
+from repro.engine.store import ColumnarTransferStore
 from repro.ingest.dataset import build_dataset
 from repro.simulation.builder import build_default_world
 from repro.simulation.config import SimulationConfig
@@ -60,16 +61,21 @@ def batch_over(world):
 
 
 def assert_dataset_parity(cursor, dataset):
-    """The cursor's ingested state equals the batch-built dataset."""
-    assert cursor.transfers_by_nft == dataset.transfers_by_nft
-    assert list(cursor.transfers_by_nft) == list(dataset.transfers_by_nft)
+    """The cursor's ingested state equals the batch-built dataset.
+
+    Per-token transfers and token order are compared against a store
+    built from the dataset; interned account ids depend on arrival
+    order, so they are not compared.
+    """
+    reference = ColumnarTransferStore.from_dataset(dataset)
+    assert cursor.store.nfts() == reference.nfts()
+    for nft, columns in reference.tokens.items():
+        assert cursor.store.tokens[nft].transfers == columns.transfers
+    assert cursor.store.transfer_count == dataset.transfer_count
     assert cursor.account_transactions == dataset.account_transactions
     assert cursor.compliance.compliant == dataset.compliance.compliant
     assert cursor.compliance.non_compliant == dataset.compliance.non_compliant
-    assert cursor.scan.event_count == dataset.scan.event_count
-    assert cursor.scan.emitting_contracts == dataset.scan.emitting_contracts
-    assert cursor.store.transfer_count == dataset.transfer_count
-    assert cursor.store.nfts() == list(dataset.transfers_by_nft)
+    assert cursor.event_count == dataset.scan.event_count
 
 
 class TestReorgParity:
@@ -156,6 +162,50 @@ class TestReorgParity:
             running += snap.newly_confirmed_count - snap.retracted_count
         assert running == monitor.scheduler.confirmed_activity_count
         assert running == batch.activity_count
+
+
+    def test_rebuilt_tokens_roll_back_to_their_canonical_rows(self):
+        """Tokens marked by the store's out-of-order fallback roll back by
+        re-columnarizing their rows at or below the fork, not by
+        watermark truncation -- with the same result."""
+        world = fresh_world()
+        chain = world.chain
+        head = world.node.block_number
+        monitor = StreamingMonitor.for_world(world, max_reorg_depth=64)
+        monitor.run(step_blocks=29)
+        store = monitor.cursor.store
+        # A fork block holding a token row, with later rows of the same
+        # token, and a non-empty next block (so an empty replacement
+        # branch diverges right after the fork).
+        fork = max(
+            row.block_number
+            for columns in store.tokens.values()
+            for row in columns.transfers[:-1]
+            if head - 60 < row.block_number < columns.transfers[-1].block_number
+            and chain.blocks[row.block_number + 1].transactions
+        )
+        marked = {
+            nft
+            for nft, columns in store.tokens.items()
+            if columns.transfers[0].block_number
+            <= fork
+            < columns.transfers[-1].block_number
+        }
+        store.rebuilt_tokens.update(marked)
+        depth = head - fork
+        chain.reorg(
+            depth,
+            [
+                Block(number=block.number, timestamp=block.timestamp)
+                for block in chain.blocks[-depth:]
+            ],
+        )
+        snap = monitor.advance()
+        assert snap.reorg_depth == depth
+        assert not marked & store.rebuilt_tokens
+        dataset, batch = batch_over(world)
+        assert_results_match(monitor.result(), batch, ordered=True)
+        assert_dataset_parity(monitor.cursor, dataset)
 
 
 class TestRevisionSemantics:
@@ -346,7 +396,7 @@ class TestRevisionSemantics:
         )
         tick = cursor.advance()
         assert tick.is_noop
-        assert cursor.transfer_count == 0
+        assert cursor.store.transfer_count == 0
 
     def test_stale_target_is_still_a_noop(self):
         """Asking for a block behind the cursor (head unchanged) stays safe."""
@@ -366,7 +416,7 @@ class TestRevisionSemantics:
         head = world.node.block_number
         monitor = StreamingMonitor.for_world(world)
         monitor.run(step_blocks=29)
-        transfers_before = monitor.cursor.transfer_count
+        transfers_before = monitor.cursor.store.transfer_count
         funder = "0x" + "f00d" * 10
         world.chain.faucet(funder, 10**21)
         world.chain.transact(
@@ -377,7 +427,7 @@ class TestRevisionSemantics:
         )
         snap = monitor.advance(head // 2)  # stale target during growth
         assert monitor.processed_block == head
-        assert monitor.cursor.transfer_count >= transfers_before
+        assert monitor.cursor.store.transfer_count >= transfers_before
         assert not any(
             a.kind is AlertKind.ACTIVITY_RETRACTED for a in snap.alerts
         )
@@ -399,7 +449,7 @@ class TestRevisionSemantics:
         world.chain.reorg(14)  # head regresses below start - 1
         snap = monitor.advance()
         assert snap.reorg_depth > 0
-        assert monitor.cursor.transfer_count == 0
+        assert monitor.cursor.store.transfer_count == 0
         for alert in snap.alerts:
             assert alert.block <= world.node.block_number
         follow_up = monitor.advance()
@@ -476,6 +526,71 @@ class TestJournalBounds:
         assert_dataset_parity(monitor.cursor, dataset)
 
 
+class TestJournalWindowFollow:
+    """Parity holds at every journal depth, however short the window.
+
+    The cursor keeps only what detection and rollback read; everything
+    else a tick scans is dropped within the tick, so these follows pin
+    batch parity while the journal is trimmed on every commit.
+    """
+
+    @pytest.mark.parametrize("depth", [0, 8, 64])
+    def test_block_by_block_follow_parity(self, depth):
+        world = fresh_world()
+        monitor = StreamingMonitor.for_world(world, max_reorg_depth=depth)
+        for _ in range(world.node.block_number + 1):
+            monitor.advance(monitor.cursor.next_block)
+            assert len(monitor.cursor._journal) <= depth + 1
+        dataset, batch = batch_over(world)
+        assert_results_match(monitor.result(), batch, ordered=True)
+        assert_dataset_parity(monitor.cursor, dataset)
+
+    def test_repeated_reorgs_parity(self):
+        world = fresh_world()
+        monitor = StreamingMonitor.for_world(world, max_reorg_depth=64)
+        monitor.run(step_blocks=17)
+        for seed, depth in ((1, 5), (2, 21), (3, 55)):
+            apply_random_reorg(
+                world.chain,
+                depth,
+                random.Random(seed),
+                drop_probability=0.4,
+                delay_probability=0.3,
+            )
+            monitor.run(step_blocks=23)
+            dataset, batch = batch_over(world)
+            assert_results_match(monitor.result(), batch, ordered=True)
+            assert_dataset_parity(monitor.cursor, dataset)
+
+    def test_storm_parity(self):
+        world = fresh_world()
+        monitor = StreamingMonitor.for_world(world, max_reorg_depth=64)
+        storm = ReorgStorm(
+            world,
+            random.Random(17),
+            reorg_probability=0.4,
+            max_depth=13,
+            drop_probability=0.3,
+            delay_probability=0.25,
+            max_shorten=2,
+            step_range=(5, 90),
+        )
+        assert storm.run(monitor)
+        dataset, batch = batch_over(world)
+        assert_results_match(monitor.result(), batch, ordered=True)
+        assert_dataset_parity(monitor.cursor, dataset)
+
+    def test_serving_parity_over_a_short_journal(self):
+        from repro.serve import ServeService, serving_parity_mismatches
+
+        world = fresh_world()
+        service = ServeService.for_world(world, max_reorg_depth=16)
+        service.run(step_blocks=29)
+        dataset, batch = batch_over(world)
+        assert serving_parity_mismatches(service.query, batch) == []
+        assert_dataset_parity(service.monitor.cursor, dataset)
+
+
 class FaultyNode(EthereumNode):
     """A node that starts failing on demand, per read endpoint."""
 
@@ -503,10 +618,11 @@ class TestTickAtomicity:
     def cursor_fingerprint(self, cursor):
         return (
             cursor.next_block,
-            cursor.transfer_count,
-            len(cursor.scan.matches),
-            sorted(cursor.scan.emitting_contracts),
-            {nft: len(t) for nft, t in cursor.transfers_by_nft.items()},
+            cursor.store.transfer_count,
+            cursor.event_count,
+            sorted(cursor.compliance.compliant),
+            sorted(cursor.compliance.non_compliant),
+            {nft: c.row_count for nft, c in cursor.store.tokens.items()},
             {a: len(t) for a, t in cursor.account_transactions.items()},
             sorted(cursor.store.nfts(), key=repr),
             len(cursor._journal),

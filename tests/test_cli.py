@@ -80,6 +80,13 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["monitor", "serve"])
+    def test_bounded_memory_flag_is_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--bounded-memory"])
+        assert exit_info.value.code == 2
+        assert "--bounded-memory" in capsys.readouterr().err
+
     def test_scenario_parser_defaults(self):
         args = build_scenario_parser().parse_args(["reorg-storm-rush"])
         assert args.name == "reorg-storm-rush"
