@@ -12,9 +12,7 @@ backends with ``--backends``, e.g.::
 profile).  One acceptance check anchors the backend ordering on the
 largest selected world: ``test_engine_beats_legacy_on_largest_world``
 -- the columnar engine (including its store build) must outrun the
-legacy path under both Tarjan backends, the compiled kernel and the
-pure-Python fallback (``force_fallback()``) that hosts without a C
-compiler run.
+legacy path.
 
 With ``--obs``, ``test_obs_overhead_on_largest_world`` adds the
 observability bar: a fully instrumented streaming ingest over the
@@ -25,7 +23,6 @@ producing the identical detection result.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 
 import pytest
 
@@ -101,17 +98,12 @@ def legacy_best(largest_world):
     return _best_of(3, world, dataset, engine="legacy")
 
 
-@pytest.mark.parametrize("tarjan", ["compiled", "fallback"])
-def test_engine_beats_legacy_on_largest_world(largest_world, legacy_best, tarjan):
-    """The engine must outrun the legacy path at the largest scale, with
-    the compiled Tarjan and with the pure-Python fallback."""
-    from repro.engine.kernels import force_fallback
-
+def test_engine_beats_legacy_on_largest_world(largest_world, legacy_best):
+    """The engine must outrun the legacy path at the largest scale."""
     label, world, dataset = largest_world
     legacy_s, legacy_result = legacy_best
-    with force_fallback() if tarjan == "fallback" else nullcontext():
-        engine_s, engine_result = _best_of(3, world, dataset, engine="columnar")
-        status = kernel_status()
+    engine_s, engine_result = _best_of(3, world, dataset, engine="columnar")
+    status = kernel_status()
 
     print(
         f"\n== engine vs legacy [{label} world] == {status}\n"

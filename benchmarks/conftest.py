@@ -16,7 +16,7 @@ from repro.simulation.config import SimulationConfig
 
 #: Detection backends the backend-parametrized benchmarks can compare.
 #: "legacy" is the networkx reference path, "engine" the columnar
-#: engine (CSR refinement, compiled Tarjan when available).
+#: engine (CSR refinement over one Tarjan walk).
 ALL_BACKENDS = ("legacy", "engine")
 
 BACKEND_PIPELINE_KWARGS = {
@@ -26,20 +26,18 @@ BACKEND_PIPELINE_KWARGS = {
 
 
 def kernel_status() -> str:
-    """One line describing the kernels this process will run with."""
+    """One line describing the numeric stack the kernels run on."""
     import numpy
 
-    from repro.engine.kernels import active_backend
-
-    return f"numpy {numpy.__version__}, tarjan backend: {active_backend()}"
+    return f"numpy {numpy.__version__}"
 
 
 def pytest_report_header(config):
-    """Record backend/kernel availability and world scale up front.
+    """Record the numpy version and world scale up front.
 
-    Benchmark numbers are meaningless without knowing whether the
-    compiled Tarjan actually loaded and how big the simulated worlds
-    are, so both are pinned into the run header.
+    Benchmark numbers are meaningless without knowing the numeric stack
+    and how big the simulated worlds are, so both are pinned into the
+    run header.
     """
     scales = ", ".join(
         f"{name}={preset().duration_days}d x {preset().legit_sales_per_day}/day"

@@ -15,7 +15,7 @@ Sub-packages follow the paper's structure:
 
 from repro.core.activity import CandidateComponent, WashTradingActivity, DetectionMethod
 from repro.core.graph import NFTTransactionGraph, build_transaction_graph
-from repro.core.scc import strongly_connected_components, tarjan_scc
+from repro.core.scc import strongly_connected_components
 from repro.core.refine import RefinementFunnel, FunnelStage
 from repro.core.detectors import (
     DetectionConfig,
@@ -31,7 +31,6 @@ __all__ = [
     "NFTTransactionGraph",
     "build_transaction_graph",
     "strongly_connected_components",
-    "tarjan_scc",
     "RefinementFunnel",
     "FunnelStage",
     "DetectionConfig",

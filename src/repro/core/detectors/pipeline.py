@@ -190,9 +190,8 @@ class WashTradingPipeline:
 
     ``engine`` selects the execution backend.  ``"columnar"`` (the
     default; ``"kernel"`` names the same engine) runs
-    :mod:`repro.engine`: batched CSR refinement with the compiled Tarjan
-    when a C compiler is around and memoised detector money flows, all
-    in one process.
+    :mod:`repro.engine`: batched CSR refinement over one Tarjan walk and
+    memoised detector money flows, all in one process.
     ``"legacy"`` runs the paper's networkx implementation, kept as the
     reference the parity tests (``tests/engine/test_parity.py``,
     ``tests/engine/test_kernel_parity.py``) pin the engine against.

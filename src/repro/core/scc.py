@@ -3,15 +3,18 @@
 The paper uses "Tarjan's algorithm with Nuutila's modifications
 implemented by the Python library NetworkX" and then keeps the SCCs with
 at least two nodes **plus** single nodes that carry a self-loop (a
-self-trade is a one-node wash trade).  This module provides both an
-independent iterative Tarjan implementation and a NetworkX-backed one;
-tests cross-check them against each other, and the pipeline uses the
-NetworkX path by default, as the paper does.
+self-trade is a one-node wash trade).
+:func:`strongly_connected_components` applies that rule to the NetworkX
+SCCs, as the paper does; it is the legacy pipeline's candidate search.
 
-The iterative Tarjan is split in two layers: a flat, integer-indexed
-adjacency-list core (:func:`tarjan_scc_adjacency`) used directly by the
-columnar detection engine, and a thin graph-object wrapper
-(:func:`tarjan_scc`) that preserves the original NetworkX-facing API.
+:func:`tarjan_scc_adjacency` is an independent iterative Tarjan over a
+flat, integer-indexed adjacency list, and
+:func:`kept_components_adjacency` applies the same keep rule to it.
+Both are references: the tests pin them to NetworkX, the per-token
+reference walk :func:`repro.engine.refine.token_components` runs on
+them, and the engine's CSR Tarjan
+(:func:`repro.engine.kernels.tarjan_csr`) is pinned to their emission
+order.
 """
 
 from __future__ import annotations
@@ -110,39 +113,16 @@ def kept_components_adjacency(
     return kept
 
 
-def tarjan_scc(graph: nx.DiGraph | nx.MultiDiGraph) -> List[Set[Hashable]]:
-    """Iterative Tarjan SCC over a (multi)digraph.
-
-    Returns every strongly connected component, including trivial
-    single-node ones, in reverse topological order of the condensation
-    (the classic Tarjan emission order).
-    """
-    nodes = list(graph.nodes)
-    ids = {node: position for position, node in enumerate(nodes)}
-    adjacency = [
-        [ids[successor] for successor in graph.successors(node)] for node in nodes
-    ]
-    return [
-        {nodes[member] for member in component}
-        for component in tarjan_scc_adjacency(len(nodes), adjacency)
-    ]
-
-
 def strongly_connected_components(
-    graph: nx.DiGraph | nx.MultiDiGraph, use_networkx: bool = True
+    graph: nx.DiGraph | nx.MultiDiGraph,
 ) -> List[Set[Hashable]]:
-    """SCCs under the paper's definition.
+    """SCCs under the paper's definition, found by NetworkX.
 
     Keeps components with at least two nodes, plus single-node components
     whose node has a self-loop.
     """
-    if use_networkx:
-        raw = [set(component) for component in nx.strongly_connected_components(graph)]
-    else:
-        raw = tarjan_scc(graph)
-
     kept: List[Set[Hashable]] = []
-    for component in raw:
+    for component in nx.strongly_connected_components(graph):
         if len(component) >= 2:
             kept.append(component)
             continue

@@ -6,8 +6,7 @@ default of ``WashTradingPipeline``, layered as:
 * :mod:`repro.engine.store` -- :class:`ColumnarTransferStore`, interned
   accounts and flat per-NFT transfer columns built once per dataset.
 * :mod:`repro.engine.kernels` -- the funnel stages over batched CSR
-  arrays with a compiled Tarjan (pure-Python fallback without a C
-  compiler or under ``REPRO_NO_CKERNEL=1``), and the memoised
+  arrays with an iterative pure-Python Tarjan, and the memoised
   :class:`~repro.engine.kernels.CachingDetectionContext` the detectors
   read.
 * :mod:`repro.engine.executor` -- one single-process pass: refine every

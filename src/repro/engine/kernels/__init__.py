@@ -1,29 +1,20 @@
-"""Detection kernels: numpy/CSR refinement and compiled Tarjan SCC.
+"""Detection kernels: numpy/CSR refinement and the CSR Tarjan SCC.
 
 The hot loops of the detection path -- per-token SCC extraction and
-mask refinement -- batched over flat CSR arrays with a C Tarjan kernel
-(see ``docs/architecture.md`` § Detection kernels).  The compiled
-backend degrades to a pure-Python walk on hosts without a C compiler
-(``REPRO_NO_CKERNEL=1`` forces the fallback, :func:`kernel_available`
-reports what loaded).
+mask refinement -- batched over flat CSR arrays, with one iterative
+pure-Python Tarjan walk (see ``docs/architecture.md`` § Detection
+kernels).
 """
 
 from repro.engine.kernels.context import CachingDetectionContext
 from repro.engine.kernels.csr import batch_token_components
 from repro.engine.kernels.refine import refine_token_states, refine_tokens_kernel
-from repro.engine.kernels.tarjan import (
-    active_backend,
-    force_fallback,
-    kernel_available,
-    tarjan_csr,
-)
+from repro.engine.kernels.tarjan import active_backend, tarjan_csr
 
 __all__ = [
     "CachingDetectionContext",
     "active_backend",
     "batch_token_components",
-    "force_fallback",
-    "kernel_available",
     "refine_token_states",
     "refine_tokens_kernel",
     "tarjan_csr",

@@ -22,7 +22,7 @@ design constraint; the packing is arranged so it holds structurally:
   ``token_components`` builder relies on).
 
 ``tests/engine/test_kernels.py`` pins ``batch_token_components`` against
-``token_components`` and both Tarjan backends against each other and
+``token_components`` and the CSR Tarjan against the reference walk and
 networkx on randomized multigraphs.
 """
 

@@ -1,67 +1,47 @@
-"""Tarjan SCC over flat CSR arrays, with an optional compiled backend.
+"""Tarjan SCC over flat CSR arrays.
 
 :func:`tarjan_csr` labels every node of a CSR graph with its component
 id, numbered in the classic Tarjan emission order (reverse topological
 order of the condensation) -- exactly the component order
 :func:`repro.core.scc.tarjan_scc_adjacency` produces, which is what the
-parity proofs pin.  Two interchangeable backends:
-
-* a pure-Python walk over the CSR arrays (always available), and
-* the C kernel of :mod:`repro.engine.kernels._ckernel` when a compiler
-  was around at first use (``REPRO_NO_CKERNEL=1`` disables it).
-
-Both fill the same output arrays; ``tests/engine/test_kernels.py`` pins
-them bit-identical.
+parity proofs in ``tests/engine/test_kernels.py`` pin.  It is an
+iterative pure-Python walk over the CSR arrays; on the benchmark
+workloads it runs within noise of the compiled kernel it replaced
+(``docs/architecture.md`` § Detection kernels).
 """
 
 from __future__ import annotations
 
-import ctypes
-from contextlib import contextmanager
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy
 
-from repro.engine.kernels import _ckernel
-
-_force_fallback_depth = 0
-
-
-@contextmanager
-def force_fallback() -> Iterator[None]:
-    """Run the pure-Python backend inside the block, compiler or not.
-
-    Re-entrant; used by the parity tests and the scaling bench to
-    measure both backends within a single process.
-    """
-    global _force_fallback_depth
-    _force_fallback_depth += 1
-    try:
-        yield
-    finally:
-        _force_fallback_depth -= 1
-
-
-def kernel_available() -> bool:
-    """True when the compiled backend is loaded (or loadable)."""
-    return _ckernel.load_kernel() is not None
-
 
 def active_backend() -> str:
-    """``"compiled"`` or ``"fallback"`` -- what :func:`tarjan_csr` will use."""
-    if _force_fallback_depth == 0 and kernel_available():
-        return "compiled"
+    """Always ``"fallback"``: the one Tarjan is the pure-Python walk.
+
+    ``perfbench/run.py`` maps this name to the ``backend`` label of its
+    results; nothing under ``src/`` calls it.
+    """
     return "fallback"
 
 
-def _as_int64_pointer(array: numpy.ndarray):
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
+def tarjan_csr(
+    indptr: numpy.ndarray, indices: numpy.ndarray
+) -> Tuple[numpy.ndarray, int]:
+    """Label the nodes of a CSR graph with Tarjan component ids.
 
-
-def _tarjan_csr_python(
-    indptr_list, indices_list, node_count: int, comp_of: numpy.ndarray
-) -> int:
-    """The fallback walk; mirrors the C kernel statement for statement."""
+    ``indptr`` has ``node_count + 1`` entries; ``indices[indptr[u] :
+    indptr[u + 1]]`` are the successors of ``u``.  Returns
+    ``(comp_of, component_count)`` where ``comp_of[v]`` is the id of
+    ``v``'s component and ids follow emission order.
+    """
+    node_count = len(indptr) - 1
+    comp_of = numpy.empty(node_count, dtype=numpy.int64)
+    if node_count == 0:
+        return comp_of, 0
+    indptr_list = indptr.tolist()
+    indices_list = indices.tolist()
     num = [-1] * node_count
     low = [0] * node_count
     pos = [0] * node_count
@@ -106,39 +86,4 @@ def _tarjan_csr_python(
                         if member == node:
                             break
                     comp_count += 1
-    return comp_count
-
-
-def tarjan_csr(
-    indptr: numpy.ndarray, indices: numpy.ndarray
-) -> Tuple[numpy.ndarray, int]:
-    """Label the nodes of a CSR graph with Tarjan component ids.
-
-    ``indptr`` has ``node_count + 1`` entries; ``indices[indptr[u] :
-    indptr[u + 1]]`` are the successors of ``u``.  Returns
-    ``(comp_of, component_count)`` where ``comp_of[v]`` is the id of
-    ``v``'s component and ids follow emission order.
-    """
-    node_count = len(indptr) - 1
-    comp_of = numpy.empty(node_count, dtype=numpy.int64)
-    if node_count == 0:
-        return comp_of, 0
-    kernel = None
-    if _force_fallback_depth == 0:
-        kernel = _ckernel.load_kernel()
-    if kernel is not None:
-        indptr = numpy.ascontiguousarray(indptr, dtype=numpy.int64)
-        indices = numpy.ascontiguousarray(indices, dtype=numpy.int64)
-        scratch = numpy.empty(6 * node_count, dtype=numpy.int64)
-        count = kernel(
-            node_count,
-            _as_int64_pointer(indptr),
-            _as_int64_pointer(indices),
-            _as_int64_pointer(comp_of),
-            _as_int64_pointer(scratch),
-        )
-        return comp_of, int(count)
-    count = _tarjan_csr_python(
-        indptr.tolist(), indices.tolist(), node_count, comp_of
-    )
-    return comp_of, count
+    return comp_of, comp_count

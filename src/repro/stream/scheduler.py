@@ -58,11 +58,7 @@ from repro.core.detectors.pipeline import (
     collect_evidence,
 )
 from repro.core.refine import RefinementResult
-from repro.engine.kernels import (
-    CachingDetectionContext,
-    active_backend,
-    refine_token_states,
-)
+from repro.engine.kernels import CachingDetectionContext, refine_token_states
 from repro.engine.refine import STAGE_NAMES, StageAccumulator
 from repro.engine.store import ColumnarTransferStore
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
@@ -214,19 +210,8 @@ class DirtyTokenScheduler:
             "scheduler_confirmed_activities",
             "Currently confirmed activities across all tokens.",
         )
-        self.registry.gauge(
-            "scheduler_backend_info",
-            "Detection backend in use (1 = active), labeled by backend.",
-            labels=("backend",),
-        ).labels(backend=self.backend_name).set(1)
 
     # -- queries -----------------------------------------------------------
-    @property
-    def backend_name(self) -> str:
-        """Which Tarjan backend ticks run on: ``kernel-compiled`` or
-        ``kernel-fallback``."""
-        return f"kernel-{active_backend()}"
-
     @property
     def flagged_nfts(self) -> Set[NFTKey]:
         """NFTs with at least one currently confirmed activity."""

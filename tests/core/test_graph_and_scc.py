@@ -11,7 +11,6 @@ from repro.core.graph import build_transaction_graph
 from repro.core.scc import (
     kept_components_adjacency,
     strongly_connected_components,
-    tarjan_scc,
     tarjan_scc_adjacency,
 )
 from repro.ingest.records import NFTTransfer
@@ -150,13 +149,6 @@ class TestSCCDefinition:
         components = strongly_connected_components(graph)
         assert {frozenset(c) for c in components} == {frozenset({"A", "B"}), frozenset({"X", "Y"})}
 
-    def test_own_tarjan_matches_networkx_choice(self):
-        graph = nx.MultiDiGraph()
-        graph.add_edges_from([("A", "B"), ("B", "A"), ("B", "C")])
-        with_nx = strongly_connected_components(graph, use_networkx=True)
-        without_nx = strongly_connected_components(graph, use_networkx=False)
-        assert {frozenset(c) for c in with_nx} == {frozenset(c) for c in without_nx}
-
 
 @st.composite
 def random_digraphs(draw):
@@ -174,15 +166,6 @@ def random_digraphs(draw):
     graph.add_nodes_from(range(node_count))
     graph.add_edges_from(edges)
     return graph
-
-
-@settings(max_examples=60, deadline=None)
-@given(random_digraphs())
-def test_tarjan_agrees_with_networkx_on_random_graphs(graph):
-    """Our Tarjan implementation partitions nodes exactly like NetworkX."""
-    ours = {frozenset(component) for component in tarjan_scc(graph)}
-    reference = {frozenset(component) for component in nx.strongly_connected_components(graph)}
-    assert ours == reference
 
 
 @settings(max_examples=60, deadline=None)

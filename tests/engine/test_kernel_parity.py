@@ -5,8 +5,7 @@ the CSR refinement (:func:`refine_tokens_kernel`,
 :func:`refine_token_states`) must be identical to the per-token
 reference :func:`refine_tokens`, and the engine ``WashTradingPipeline``
 runs by default must be identical to the legacy networkx path
-(``engine="legacy"``) -- compiled backend and pure-Python fallback,
-batch and streaming, in-order and through a
+(``engine="legacy"``) -- batch and streaming, in-order and through a
 reorg storm.  The opt-in volume-match detector is pinned batch ==
 stream here as well.
 """
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,11 +22,7 @@ from repro.core.activity import DetectionMethod
 from repro.core.detectors.base import DetectionContext
 from repro.core.detectors.pipeline import WashTradingPipeline
 from repro.engine.executor import TransactionView
-from repro.engine.kernels import (
-    force_fallback,
-    refine_token_states,
-    refine_tokens_kernel,
-)
+from repro.engine.kernels import refine_token_states, refine_tokens_kernel
 from repro.engine.refine import refine_tokens
 from repro.engine.store import ColumnarTransferStore
 from repro.ingest.dataset import build_dataset
@@ -46,19 +40,6 @@ from tests.engine.test_parity import (
     run_backend,
 )
 from tests.stream.test_stream_parity import assert_results_match
-
-BACKENDS = ["compiled", "fallback"]
-
-
-def backend_context(backend):
-    """``force_fallback`` for the fallback runs, a no-op otherwise.
-
-    When no C compiler is available the "compiled" runs silently take
-    the fallback too (that *is* the graceful-degradation contract); the
-    CI kernel-smoke job covers both states explicitly.
-    """
-    return force_fallback() if backend == "fallback" else nullcontext()
-
 
 def stages_of(refinement):
     return [stage.to_stage() for stage in refinement.stages]
@@ -93,7 +74,7 @@ def assert_full_parity(engine, legacy):
 def test_kernel_refinement_matches_interpreted(
     histories, skip_services, skip_contracts, skip_zero_volume
 ):
-    """Stage statistics, candidates and order agree, both backends."""
+    """Stage statistics, candidates and order agree."""
     labels = make_labels()
     store = ColumnarTransferStore.from_transfers(histories)
     kwargs = dict(
@@ -104,10 +85,8 @@ def test_kernel_refinement_matches_interpreted(
         skip_zero_volume_removal=skip_zero_volume,
     )
     reference = refine_tokens(store.accounts, store, **kwargs)
-    for backend in BACKENDS:
-        with backend_context(backend):
-            kernel = refine_tokens_kernel(store.accounts, list(store), **kwargs)
-        assert_refinements_equal(kernel, reference)
+    kernel = refine_tokens_kernel(store.accounts, list(store), **kwargs)
+    assert_refinements_equal(kernel, reference)
 
 
 @settings(max_examples=30, deadline=None)
@@ -142,12 +121,13 @@ def tiny_legacy(tiny_world, tiny_dataset):
 
 
 class TestKernelPipelineParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    # One Tarjan runs: the pure-Python CSR walk, once the fallback of a
+    # compiled kernel; the case id keeps that name.
+    @pytest.mark.parametrize("engine", ["kernel"], ids=["fallback"])
     def test_kernel_engine_matches_legacy(
-        self, tiny_world, tiny_dataset, tiny_legacy, backend
+        self, tiny_world, tiny_dataset, tiny_legacy, engine
     ):
-        with backend_context(backend):
-            kernel = run_backend(tiny_world, tiny_dataset, engine="kernel")
+        kernel = run_backend(tiny_world, tiny_dataset, engine=engine)
         assert_full_parity(kernel, tiny_legacy)
 
 

@@ -4,9 +4,9 @@ Three layers, bottom up:
 
 * the CSR Tarjan (:func:`tarjan_csr`) against the repo's iterative
   reference (:func:`tarjan_scc_adjacency`) and against networkx, on
-  random graphs with self-loops, parallel edges and singletons --
-  component *ids* must follow the reference's emission order exactly,
-  and the compiled and pure-Python backends must be bit-identical;
+  random graphs with self-loops, parallel edges and singletons, and
+  on one 50k-node graph -- component *ids* must follow the
+  reference's emission order exactly;
 * the zero-copy ``TokenColumns.as_arrays`` views (values, buffer
   pinning, release);
 * the batched CSR component extraction
@@ -23,13 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chain.types import NFTKey, NULL_ADDRESS
 from repro.core.scc import tarjan_scc_adjacency
-from repro.engine.kernels import (
-    active_backend,
-    batch_token_components,
-    force_fallback,
-    kernel_available,
-    tarjan_csr,
-)
+from repro.engine.kernels import batch_token_components, tarjan_csr
 from repro.engine.refine import token_components
 from repro.engine.store import ColumnarTransferStore
 from repro.ingest.records import NFTTransfer
@@ -102,35 +96,22 @@ def test_tarjan_csr_matches_networkx(graph):
     assert count == len(expected)
 
 
-@settings(max_examples=100, deadline=None)
-@given(random_graphs())
-def test_backends_are_bit_identical(graph):
-    """Compiled and pure-Python backends fill identical outputs.
-
-    When no compiler was available both runs take the fallback and the
-    check is trivially green -- the CI kernel-smoke job runs this file
-    once compiled and once under ``REPRO_NO_CKERNEL=1``.
-    """
-    node_count, edges = graph
-    _, indptr, indices = to_csr(node_count, edges)
-    default_comp, default_count = tarjan_csr(indptr, indices)
-    with force_fallback():
-        assert active_backend() == "fallback"
-        fallback_comp, fallback_count = tarjan_csr(indptr, indices)
-    assert default_count == fallback_count
-    assert numpy.array_equal(default_comp, fallback_comp)
-
-
-def test_backend_reporting_is_coherent():
-    backend = active_backend()
-    assert backend in ("compiled", "fallback")
-    assert (backend == "compiled") == kernel_available()
-    with force_fallback():
-        assert active_backend() == "fallback"
-        with force_fallback():  # re-entrant
-            assert active_backend() == "fallback"
-        assert active_backend() == "fallback"
-    assert active_backend() == backend
+def test_tarjan_csr_matches_reference_at_size():
+    """A 50k-node path whose one back edge closes a 25k-node cycle,
+    with a self-loop on every 1000th node: the walk stays iterative and
+    keeps the reference's component count and emission order."""
+    node_count = 50_000
+    edges = [(node, node + 1) for node in range(node_count - 1)]
+    edges.append((37_499, 12_500))
+    edges.extend((node, node) for node in range(0, node_count, 1000))
+    adjacency, indptr, indices = to_csr(node_count, edges)
+    comp_of, count = tarjan_csr(indptr, indices)
+    reference = tarjan_scc_adjacency(node_count, adjacency)
+    assert count == len(reference) == node_count - 25_000 + 1
+    expected = numpy.empty(node_count, dtype=numpy.int64)
+    for position, members in enumerate(reference):
+        expected[members] = position
+    assert numpy.array_equal(comp_of, expected)
 
 
 # -- zero-copy column views ----------------------------------------------------
@@ -210,8 +191,3 @@ def test_batched_csr_matches_per_token_walk(histories, excluded_addresses):
     reference = [token_components(columns, excluded) for columns in tokens]
     batched = batch_token_components(tokens, excluded, store.account_count)
     assert batched == reference
-    with force_fallback():
-        assert (
-            batch_token_components(tokens, excluded, store.account_count)
-            == reference
-        )
